@@ -1,17 +1,30 @@
-//! A dependency-free JSON reader for the trajectory tool.
+//! A dependency-free JSON reader.
 //!
 //! The workspace hand-rolls all JSON *writers* (telemetry exporters,
-//! `--metrics-json`, `BENCH_*.json`); the trajectory gate is the first
-//! thing that must *read* JSON back, and pulling in serde is off the table
-//! (no new dependencies). This is a small recursive-descent parser, enough
-//! for the machine-written documents we consume: objects, arrays, strings
-//! with the common escapes, numbers, booleans, null.
+//! `--metrics-json`, `BENCH_*.json`, the event stream, the result store);
+//! pulling in serde to read them back is off the table (no new
+//! dependencies). This is a small recursive-descent parser, enough for the
+//! machine-written documents we consume: objects, arrays, strings with the
+//! common escapes, numbers, booleans, null. It reads the trajectory
+//! snapshots, and it is also the campaign daemon's wire reader (every
+//! request and reply line) and the result store's replay reader (every
+//! segment line at open), so it is built for untrusted input:
+//!
+//! - **Linear time.** A string is consumed one run at a time: each run of
+//!   bytes up to the next `"` or `\` is copied as one validated slice.
+//! - **Depth-capped.** Nesting deeper than [`MAX_DEPTH`] is a [`JsonError`],
+//!   never a stack overflow.
 //!
 //! Objects preserve key order as `Vec<(String, Json)>` — deliberately not a
 //! hash map (the satin-lint `unordered-iter` rule bans those for a reason:
 //! everything downstream of this parser ends up in deterministic reports).
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The workspace's
+/// own documents nest at most 3 deep; the cap keeps a hostile line from
+/// recursing the parser off the end of its stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +50,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -116,6 +130,8 @@ impl fmt::Display for JsonError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -156,8 +172,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -223,13 +250,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next delimiter as one slice. Both
+            // delimiters are ASCII, so a run never splits a UTF-8 scalar.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash.
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -257,15 +295,6 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -381,5 +410,46 @@ mod tests {
         assert_eq!(Json::parse("3.5").ok().and_then(|v| v.as_u64()), None);
         assert_eq!(Json::parse("-1").ok().and_then(|v| v.as_u64()), None);
         assert_eq!(Json::parse("42").ok().and_then(|v| v.as_u64()), Some(42));
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        for (bad, offset, msg) in [
+            (r#""abc"#, 4, "unterminated string"),
+            (r#""ab\"#, 4, "bad escape"),
+            (r#""ab\q""#, 5, "unknown escape"),
+            (r#""ab\u12""#, 5, "bad \\u escape"),
+            (r#"{"héllo" 1}"#, 10, "expected ':'"),
+        ] {
+            let e = Json::parse(bad).expect_err(bad);
+            assert_eq!((e.offset, e.msg.as_str()), (offset, msg), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let e = Json::parse(&deep).expect_err("100k '['");
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.msg.contains("nesting"), "{e}");
+
+        let chain = r#"{"a":"#.repeat(100_000);
+        let e = Json::parse(&chain).expect_err("100k '{\"a\":'");
+        assert_eq!(e.offset, MAX_DEPTH * 5);
+        assert!(e.msg.contains("nesting"), "{e}");
+
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(Json::parse(&over).is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn escaped_strings_round_trip(s: String) {
+            let doc = format!("\"{}\"", satin_telemetry::json_escape(&s));
+            proptest::prop_assert_eq!(Json::parse(&doc), Ok(Json::Str(s)));
+        }
     }
 }

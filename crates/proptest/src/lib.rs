@@ -7,7 +7,8 @@
 //! - the [`proptest!`] macro with `pattern in strategy` and `name: Type`
 //!   parameters;
 //! - range strategies (`0u64..10_000`, `1u8..=99`, `0.0f64..1.0`);
-//! - [`collection::vec`] and [`any`];
+//! - [`collection::vec`] and [`any`] (integers, floats, `bool`, `char`,
+//!   `String`);
 //! - [`prop_assert!`] / [`prop_assert_eq!`].
 //!
 //! Unlike upstream proptest there is no shrinking and no persistence: each
@@ -159,6 +160,32 @@ float_strategies!(f32, f64);
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
         rng.next_u64() & 1 == 1
+    }
+}
+
+impl Arbitrary for char {
+    /// Weighted toward what text formats must escape: a quarter plain
+    /// ASCII (controls included), a quarter `"` or `\`, a quarter the
+    /// Basic Multilingual Plane and a quarter any scalar value. A drawn
+    /// surrogate becomes U+FFFD.
+    fn arbitrary(rng: &mut TestRng) -> char {
+        let x = rng.next_u64();
+        let code = match x % 4 {
+            0 => (x >> 2) % 0x80,
+            1 if x & 4 == 0 => u64::from(b'"'),
+            1 => u64::from(b'\\'),
+            2 => (x >> 2) % 0x1_0000,
+            _ => (x >> 2) % 0x11_0000,
+        };
+        char::from_u32(code as u32).unwrap_or('\u{fffd}')
+    }
+}
+
+impl Arbitrary for String {
+    /// Up to 32 [`char`] draws.
+    fn arbitrary(rng: &mut TestRng) -> String {
+        let len = rng.below(33);
+        (0..len).map(|_| char::arbitrary(rng)).collect()
     }
 }
 

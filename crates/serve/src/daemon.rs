@@ -2,8 +2,17 @@
 //!
 //! Single-threaded by design: campaigns already parallelize internally
 //! (the backend owns its worker pool), so the daemon's only job is to
-//! serialize store access — a poll-accept loop with a 2 ms sleep does that
-//! with no locks, no threads, and no way to interleave two appends.
+//! serialize store access — a blocking accept loop that serves one
+//! connection at a time does that with no locks, no threads, and no way to
+//! interleave two appends. `accept` returns as soon as a client connects,
+//! and `shutdown` arrives as a request, so the loop needs no wake-up path.
+//!
+//! One client at a time means one client must not hold the loop: the
+//! request line has a read deadline ([`READ_DEADLINE`]) and a length cap
+//! ([`MAX_REQUEST_BYTES`]), answered with a `done` error line, and every
+//! write has a deadline ([`WRITE_DEADLINE`]), after which a client that
+//! stopped reading counts as gone (its job still completes and is stored).
+//! The socket file is removed on every exit path, fatal errors included.
 //!
 //! Protocol (JSONL, one request line per connection):
 //!
@@ -35,22 +44,37 @@ use satin_obs::json::Json;
 use satin_obs::{EventStream, HostClock};
 use satin_scenario::Scenario;
 use satin_telemetry::json_escape;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::time::Duration;
 
-/// Idle-loop sleep between accept polls. Long enough to keep an idle
-/// daemon invisible in `top`, short enough that submit latency is noise
-/// next to any simulation.
-const POLL_SLEEP: Duration = Duration::from_millis(2);
+/// How long a client has to deliver its whole request line after the
+/// daemon accepts it. Clients write the line right after connecting.
+pub const READ_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Longest request line the daemon reads; a submit is about 1 KB.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
+/// How long one reply write may block before the client counts as gone.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Removes the socket file when the daemon leaves [`serve`], however it
+/// leaves.
+struct SocketFile<'a>(&'a Path);
+
+impl Drop for SocketFile<'_> {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(self.0);
+    }
+}
 
 /// Runs the daemon until a `shutdown` request arrives. `backend` simulates
 /// the seeds the store cannot answer (see [`JobService::run_job`]); the
 /// repro binary passes a closure over its campaign runner.
 ///
 /// A stale socket file from a dead daemon is removed before binding; the
-/// live socket file is removed again on clean shutdown.
+/// live socket file is removed again on shutdown and on every error exit.
 ///
 /// # Errors
 ///
@@ -69,9 +93,7 @@ where
     }
     let listener =
         UnixListener::bind(socket).map_err(|e| format!("binding {}: {e}", socket.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking accept on {}: {e}", socket.display()))?;
+    let _socket_file = SocketFile(socket);
     let clock = HostClock::start();
     eprintln!(
         "satin-serve: listening on {} — store {} ({} cached cell(s), code {:016x})",
@@ -81,22 +103,17 @@ where
         service.code()
     );
     loop {
-        match listener.accept() {
-            Ok((conn, _addr)) => {
-                let bye = handle_connection(conn, &mut service, &mut backend, &clock)
-                    .unwrap_or_else(|e| {
-                        eprintln!("satin-serve: connection error: {e}");
-                        false
-                    });
-                if bye {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_SLEEP),
-            Err(e) => return Err(format!("accept on {}: {e}", socket.display())),
+        let (conn, _addr) = listener
+            .accept()
+            .map_err(|e| format!("accept on {}: {e}", socket.display()))?;
+        let bye = handle_connection(conn, &mut service, &mut backend, &clock).unwrap_or_else(|e| {
+            eprintln!("satin-serve: connection error: {e}");
+            false
+        });
+        if bye {
+            break;
         }
     }
-    let _ = std::fs::remove_file(socket);
     eprintln!(
         "satin-serve: shut down after {} — {} cached cell(s)",
         fmt_host_ns(clock.now_ns()),
@@ -115,17 +132,16 @@ fn handle_connection<B>(
 where
     B: FnMut(&Scenario, &[u64]) -> (Vec<CellRecord>, EventStream),
 {
-    conn.set_nonblocking(false)
-        .map_err(|e| format!("blocking connection: {e}"))?;
-    let reader_half = conn
-        .try_clone()
-        .map_err(|e| format!("cloning connection: {e}"))?;
-    let mut reader = BufReader::new(reader_half);
+    conn.set_write_timeout(Some(WRITE_DEADLINE))
+        .map_err(|e| format!("write deadline: {e}"))?;
     let mut writer = conn;
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("reading request: {e}"))?;
+    let line = match read_request(&writer, clock) {
+        Ok(line) => line,
+        Err(e) => {
+            send_error(&mut writer, &e);
+            return Err(e);
+        }
+    };
     let line = line.trim();
     if line.is_empty() {
         return Ok(false);
@@ -159,6 +175,58 @@ where
             Ok(false)
         }
     }
+}
+
+/// Reads the request line: bytes up to the first `\n` or end of stream,
+/// within [`READ_DEADLINE`] of the call and [`MAX_REQUEST_BYTES`] long.
+/// The deadline covers the whole line, so a client trickling bytes cannot
+/// extend it: each read waits only for the time that is left.
+fn read_request(conn: &UnixStream, clock: &HostClock) -> Result<String, String> {
+    let deadline_ns = clock
+        .now_ns()
+        .saturating_add(READ_DEADLINE.as_nanos() as u64);
+    let mut reader = BufReader::new(conn.take(MAX_REQUEST_BYTES));
+    let mut line = Vec::new();
+    loop {
+        let left_ns = deadline_ns.saturating_sub(clock.now_ns());
+        if left_ns == 0 {
+            return Err(format!(
+                "no request line within {} s",
+                READ_DEADLINE.as_secs()
+            ));
+        }
+        conn.set_read_timeout(Some(Duration::from_nanos(left_ns)))
+            .map_err(|e| format!("read deadline: {e}"))?;
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            // Timed out or interrupted: the loop head checks the deadline.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(e) => return Err(format!("reading request: {e}")),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        if let Some(end) = chunk.iter().position(|&b| b == b'\n') {
+            line.extend_from_slice(&chunk[..end]);
+            break;
+        }
+        let n = chunk.len();
+        line.extend_from_slice(chunk);
+        reader.consume(n);
+    }
+    if line.len() as u64 == MAX_REQUEST_BYTES {
+        return Err(format!(
+            "request line longer than {MAX_REQUEST_BYTES} bytes"
+        ));
+    }
+    String::from_utf8(line).map_err(|_| "request line is not UTF-8".to_string())
 }
 
 /// Decodes the request's scenario text and seed strings.
@@ -205,8 +273,9 @@ where
         }
     };
     // Stream each event line as the job produces it; a client that hung up
-    // mid-stream is remembered and reported after the job finishes — the
-    // store still gets the fresh rows either way.
+    // or stopped reading mid-stream is remembered and reported after the
+    // job finishes — the store still gets the fresh rows either way, and
+    // no done line waits out another write deadline.
     let mut client_gone = false;
     let outcome = service.run_job(
         &scenario,
@@ -220,6 +289,9 @@ where
             }
         },
     );
+    if client_gone {
+        return Err("client hung up mid-stream (job completed and was cached)".into());
+    }
     match outcome {
         Ok(out) => {
             send_line(
@@ -240,9 +312,6 @@ where
             );
         }
         Err(e) => send_error(writer, &e),
-    }
-    if client_gone {
-        return Err("client hung up mid-stream (job completed and was cached)".into());
     }
     Ok(())
 }

@@ -17,7 +17,7 @@
 //!   hands only the missing seeds to a backend closure, persists the fresh
 //!   rows, and renders a report that is **byte-identical whether every cell
 //!   was a hit or a miss** — warm replays are provably the same bytes.
-//! - [`daemon`]: a single-threaded poll-loop daemon over a Unix domain
+//! - [`daemon`]: a single-threaded blocking-accept daemon over a Unix domain
 //!   socket, plus the matching client calls ([`submit`], [`ping`],
 //!   [`shutdown`]). The protocol is JSONL both ways; event lines stream to
 //!   the client as the job runs, then one `done` line carries the report.

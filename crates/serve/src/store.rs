@@ -355,6 +355,22 @@ mod tests {
 
     proptest! {
         #[test]
+        fn record_line_round_trips_any_key_and_error_text(
+            scenario: u64,
+            faults: u64,
+            code: u64,
+            seed: u64,
+            error: String,
+            ok: bool,
+        ) {
+            let k = JobKey { scenario, faults, code, seed };
+            let r = CellRecord { error, ..rec(ok) };
+            let line = record_line(&k, &r);
+            prop_assert!(!line.contains('\n'), "one record, one line: {line:?}");
+            prop_assert_eq!(parse_record_line(&line), Ok((k, r)));
+        }
+
+        #[test]
         fn round_trips_any_record(
             seeds in proptest::collection::vec(any::<u64>(), 1..8),
             scenario in any::<u64>(),
