@@ -12,38 +12,39 @@ echo "== tests =="
 cargo test -q --workspace
 
 echo "== clippy (deny warnings) =="
+# Also enforces clippy.toml's determinism rules everywhere: no wall clock,
+# no thread spawn/scope, no HashMap/HashSet (DESIGN.md §15).
 cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== clippy panic-freedom gate (hardened crates) =="
-# The six hardened crates must not index or unwrap in library code: the
-# timing wheel and hash loops run on every simulated event, and the
-# hw/mem/secure/faults layers model the paper's TCB. get()/expect() with a
-# named invariant, or slice patterns, instead (see DESIGN.md §13, §15).
+# The six hardened crates must not panic, index or silently narrow in
+# library code: the timing wheel and hash loops run on every simulated
+# event, and the hw/mem/secure/faults layers model the paper's TCB (see
+# DESIGN.md §13, §15).
 cargo clippy -q -p satin-sim -p satin-hash -p satin-hw -p satin-mem \
     -p satin-secure -p satin-faults \
-    -- -D clippy::indexing_slicing -D clippy::unwrap_used
+    -- -D clippy::indexing_slicing -D clippy::unwrap_used -D clippy::panic \
+    -D clippy::todo -D clippy::unreachable -D clippy::unimplemented \
+    -D clippy::cast_possible_truncation
+
+echo "== clippy unwrap + unsafe audit (all library code) =="
+cargo clippy -q --workspace --lib \
+    -- -D clippy::unwrap_used -D clippy::undocumented_unsafe_blocks
+
+echo "== doorway guard =="
+# Only these files may lift a clippy.toml ban with an #[allow]; a new
+# site is a reviewed edit to this list (DESIGN.md §15).
+DOORWAYS="crates/bench/src/runner.rs
+crates/criterion/src/lib.rs
+crates/mem/src/layout.rs
+crates/obs/src/host.rs
+crates/obs/src/progress.rs
+tests/serve_socket.rs"
+FOUND="$(grep -rlE 'clippy::(disallowed_|style\b|all\b)' crates src tests examples | LC_ALL=C sort)"
+[ "$FOUND" = "$DOORWAYS" ] || { printf 'doorway guard: got\n%s\n' "$FOUND"; exit 1; }
 
 echo "== rustfmt =="
 cargo fmt --check
-
-echo "== static analysis (satin-lint, ratcheted) =="
-# The token-level analyzer: determinism rules (wall-clock, unordered-iter,
-# thread-spawn, unwrap), panic-freedom + cast-truncation over the hardened
-# crates, the unsafe audit, and the cross-file doorway table — ratcheted
-# against lint_baseline.txt (novel findings AND stale entries both fail;
-# see `satin-lint --explain`).
-./target/release/satin-lint --root . --baseline lint_baseline.txt
-
-echo "== static analysis self-determinism smoke =="
-# Two full runs must emit identical bytes: the analyzer's walk order,
-# pass order, and report serialization are all deterministic.
-LINT_A="$(mktemp /tmp/satin_lint_a.XXXXXX.txt)"
-LINT_B="$(mktemp /tmp/satin_lint_b.XXXXXX.txt)"
-./target/release/satin-lint --root . > "$LINT_A"
-./target/release/satin-lint --root . > "$LINT_B"
-cmp "$LINT_A" "$LINT_B"
-rm -f "$LINT_A" "$LINT_B"
-echo "satin-lint output byte-identical across two runs"
 
 echo "== telemetry smoke =="
 # The exported artifacts must be valid JSON, and the traced race must match
@@ -86,16 +87,6 @@ echo "juno-r1 descriptor == default run (byte-identical)"
 # smoke fails loudly on its own).
 ./target/release/repro --scenario all-little --seed 42 detection > /dev/null
 cargo test -q -p satin-bench --test scenario_golden
-
-echo "== error-hardening lint (panic-freedom + unsafe audit) =="
-# The hardened crates must not grow new panic paths (panic!/todo!/
-# unreachable!/unwrap()/bare-expect/slice indexing outside #[cfg(test)]),
-# and every `unsafe` anywhere needs an adjacent `// SAFETY:` comment. The
-# token-level passes replace the old sed/grep check, which was blind to
-# block comments and multi-line strings.
-./target/release/satin-lint --root . \
-    --passes panic-freedom,unsafe-audit --baseline lint_baseline.txt
-echo "hardened crates: no panic paths in library code; unsafe audited"
 
 echo "== fault-injection smoke (seed 42) =="
 # The acceptance campaign: the smoke plan drops one publication on every

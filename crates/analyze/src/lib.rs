@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! Static and trace analysis for the SATIN reproduction.
+//! Trace analysis for the SATIN reproduction.
 //!
 //! The simulation layers (`satin-sim` → `satin-system` → `satin-core`) are
 //! deterministic by construction, but determinism alone doesn't prove the
@@ -7,7 +7,7 @@
 //! before anyone reads it, that secure scans never overlap on a core, that
 //! TZ-Evader's recovery only fires after its prober actually observed a
 //! world switch. This crate checks those claims after (and outside of)
-//! every run, three ways:
+//! every run, two ways:
 //!
 //! - [`hb`] — a vector-clock **happens-before race detector**. An
 //!   [`AnalyzeProbe`] rides the engine's [`satin_sim::SimObserver`] seat,
@@ -21,31 +21,21 @@
 //!   the introspection wins must carry a detection, every scan window must
 //!   fit the §V-B safe-area bound, and a `ScanWindow` micro-simulation must
 //!   place the escape boundary on the closed form to the byte.
-//! - [`lint`] — the `satin-lint` binary, a **token-level static analyzer**
-//!   over `crates/*/src`: a total Rust lexer ([`lex`]), rule passes over
-//!   token streams ([`passes`]: determinism rules, panic-freedom for the
-//!   hardened crates, an `unsafe` audit, cast-truncation, and the
-//!   cross-file doorway table), and a ratcheted finding baseline
-//!   ([`baseline`]). `ci.sh` runs it in deny mode against
-//!   `lint_baseline.txt`.
 //!
-//! All of these are pure observers: they never mutate simulation state,
+//! The crate checks *traces*, not source: the workspace's source rules
+//! (determinism, panic freedom, the `unsafe` audit) are clippy lints, set in
+//! the root `clippy.toml` and `ci.sh` (DESIGN.md §15).
+//!
+//! Both are pure observers: they never mutate simulation state,
 //! never consume randomness, and the golden-trace snapshots pin that
 //! attaching them changes nothing.
 
-pub mod baseline;
 pub mod hb;
 pub mod invariant;
-pub mod lex;
-pub mod lint;
-pub mod passes;
 pub mod vclock;
 
-pub use baseline::{ratchet, Baseline, RatchetReport};
 pub use hb::{
     attach, AnalyzeHandle, AnalyzeProbe, MarkRecord, RaceReport, Violation, ViolationKind,
 };
 pub use invariant::{audit, InvariantReport};
-pub use lint::{check_tree, lint_paths, lint_source, lint_tree};
-pub use passes::{Config, Finding, PassId, Severity};
 pub use vclock::VectorClock;

@@ -5,8 +5,12 @@
 //!       [--trace-out FILE] [--metrics-json FILE] [experiment ...]
 //! ```
 //!
-//! Experiments: `table1 switch recover table2 fig4 affinity race detection
-//! fig7 baseline areasweep telemetry all` (default: `all`). `--full` runs
+//! Experiments, in `all`'s run order: `table1 switch recover table2 fig4
+//! affinity race detection fig7 baseline areasweep userprober preemption
+//! portability threshold predictor remediation kprobertrace telemetry
+//! analysis`; by name only: `grid faults bench trajectory`; then `all`
+//! (the default) and the service commands `serve submit ping shutdown`.
+//! Any other word is an error (exit 2). `--full` runs
 //! paper-scale round counts (slow: several minutes of simulation); the
 //! default is a quick mode that preserves every shape. `--jobs N` fans
 //! independent campaigns across N worker threads (0 = one per hardware
@@ -75,6 +79,41 @@ use satin_stats::{chart, fmt_percent, fmt_sci, FiveNumber};
 /// snapshot may not lose more than this fraction of the previous one's
 /// seeds/sec-model speedup.
 const TRAJECTORY_TOLERANCE: f64 = 0.20;
+
+/// Every word `repro` accepts in place of a flag: the experiments (in
+/// `all`'s run order, then those that run only by name), `all`, and the
+/// campaign-service commands. Anything else is rejected by `parse_args`.
+const EXPERIMENTS: [&str; 29] = [
+    "table1",
+    "switch",
+    "recover",
+    "table2",
+    "fig4",
+    "affinity",
+    "race",
+    "detection",
+    "fig7",
+    "baseline",
+    "areasweep",
+    "userprober",
+    "preemption",
+    "portability",
+    "threshold",
+    "predictor",
+    "remediation",
+    "kprobertrace",
+    "telemetry",
+    "analysis",
+    "grid",
+    "faults",
+    "bench",
+    "trajectory",
+    "all",
+    "serve",
+    "submit",
+    "ping",
+    "shutdown",
+];
 
 /// Capacity of the live event channel behind `--progress`. Overflow drops
 /// progress frames (counted), never canonical events.
@@ -271,16 +310,16 @@ fn parse_args() -> Opts {
                     "usage: repro [--full] [--seed N] [--jobs N] [--metrics] [--analyze] \
                      [--progress] [--scenario NAME|FILE] [--scenario-list] [--faults NAME|FILE] \
                      [--trace-out FILE] [--metrics-json FILE] [--events-out FILE] [--json FILE] \
-                     [--socket PATH] [--store PATH] [--seeds N,N,...] \
-                     [table1 switch recover table2 fig4 \
-                     affinity race detection fig7 baseline areasweep userprober \
-                     preemption portability threshold predictor remediation \
-                     kprobertrace telemetry analysis grid faults bench [bench] trajectory all \
-                     | serve submit ping shutdown]"
+                     [--socket PATH] [--store PATH] [--seeds N,N,...] [EXPERIMENT ...]\n\
+                     experiments: {}",
+                    EXPERIMENTS.join(" ")
                 );
                 std::process::exit(0);
             }
-            other if !other.starts_with('-') => experiments.push(other.to_string()),
+            other if EXPERIMENTS.contains(&other) => experiments.push(other.to_string()),
+            other if !other.starts_with('-') => {
+                die(&format!("unknown experiment {other:?} (see --help)"))
+            }
             other => die(&format!("unknown flag {other}")),
         }
     }
@@ -786,43 +825,7 @@ fn run_analysis(o: &Opts) -> bool {
     } else {
         println!("analysis: FAILED\n");
     }
-    dynamic_clean && run_static_lint()
-}
-
-/// The static half of `--analyze`: the token-level `satin-lint` passes over
-/// the workspace sources, ratcheted against `lint_baseline.txt`. Skipped
-/// (trivially clean) when no workspace tree is reachable from the current
-/// directory — the binary may run from an artifact checkout without sources.
-fn run_static_lint() -> bool {
-    let mut root = std::env::current_dir().ok();
-    while let Some(dir) = root {
-        if dir.join("crates").is_dir() && dir.join("lint_baseline.txt").is_file() {
-            println!("== Static analysis: satin-lint over {} ==", dir.display());
-            return match satin_analyze::check_tree(&dir, None) {
-                Ok((findings, report)) => {
-                    print!("{report}");
-                    let denies = findings
-                        .iter()
-                        .filter(|f| f.severity == satin_analyze::Severity::Deny)
-                        .count();
-                    if report.is_clean() {
-                        println!("static lint: CLEAN ({denies} baselined finding(s))\n");
-                        true
-                    } else {
-                        println!("static lint: FAILED\n");
-                        false
-                    }
-                }
-                Err(e) => {
-                    println!("static lint: FAILED (reading tree: {e})\n");
-                    false
-                }
-            };
-        }
-        root = dir.parent().map(std::path::Path::to_path_buf);
-    }
-    println!("static lint: skipped (no workspace sources found)\n");
-    true
+    dynamic_clean
 }
 
 fn run_telemetry(o: &Opts, events: &mut Vec<ObsEvent>) {

@@ -82,6 +82,9 @@ impl CampaignRunner {
         }
         let next = AtomicUsize::new(0);
         let workers = self.jobs.min(items.len());
+        // The single sanctioned fan-out point: scoped workers, and results
+        // sorted back into input order, keep aggregation seed-pure.
+        #[allow(clippy::disallowed_methods)]
         let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
             let next = &next;
             let handles: Vec<_> = (0..workers)

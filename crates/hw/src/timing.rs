@@ -62,6 +62,9 @@ impl ByteRate {
     }
 
     /// Number of whole bytes scanned after `elapsed` time at this rate.
+    // The rate is finite and positive (asserted in `new`), so the quotient
+    // is non-negative; a float cast saturates rather than wraps.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn bytes_in(self, elapsed: SimDuration) -> u64 {
         (elapsed.as_secs_f64() / self.0).floor() as u64
     }

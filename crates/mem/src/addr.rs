@@ -136,6 +136,9 @@ impl MemRange {
 
     /// The intersection of the two ranges, if non-empty (overflow-safe;
     /// clamped to the addressable space).
+    // A range's length is at most u64::MAX, so an end of 2^64 implies a
+    // start >= 1: the difference always fits a u64.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn intersection(&self, other: &MemRange) -> Option<MemRange> {
         let start = self.start.max(other.start);
         let end = self

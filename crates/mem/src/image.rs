@@ -36,10 +36,12 @@ pub fn fill(layout: &KernelLayout, seed: u64, buf: &mut [u8]) {
     );
     let base = layout.base();
     for section in layout.sections() {
-        // lint:allow(cast-truncation) — section offsets/lengths fit the
-        // image buffer, whose length is a usize by construction.
+        // Section offsets/lengths fit the image buffer, whose length is a
+        // usize by construction.
+        #[allow(clippy::cast_possible_truncation)]
         let start = section.range().start().offset_from(base) as usize;
-        let len = section.range().len() as usize; // lint:allow(cast-truncation) — bounded by buf.len()
+        #[allow(clippy::cast_possible_truncation)]
+        let len = section.range().len() as usize;
         let chunk = buf
             .get_mut(start..start + len)
             .expect("section range within layout buffer (asserted above)");
@@ -54,8 +56,9 @@ pub fn fill(layout: &KernelLayout, seed: u64, buf: &mut [u8]) {
 
 /// Allocates and fills a fresh image buffer.
 pub fn generate(layout: &KernelLayout, seed: u64) -> Vec<u8> {
-    // lint:allow(cast-truncation) — the paper layout is a few MiB; a u64
-    // size that overflows usize could not be allocated anyway.
+    // The paper layout is a few MiB; a u64 size that overflows usize could
+    // not be allocated anyway.
+    #[allow(clippy::cast_possible_truncation)]
     let mut buf = vec![0u8; layout.total_size() as usize];
     fill(layout, seed, &mut buf);
     buf
@@ -86,7 +89,8 @@ fn fill_syscall_table(layout: &KernelLayout, seed: u64, chunk: &mut [u8]) {
         Some(t) => (t.range().start().value(), t.range().len()),
         None => (layout.base().value(), layout.total_size()),
     };
-    // lint:allow(cast-truncation) — SYSCALL_ENTRY_SIZE is 8.
+    // SYSCALL_ENTRY_SIZE is 8.
+    #[allow(clippy::cast_possible_truncation)]
     let entry_size = SYSCALL_ENTRY_SIZE as usize;
     for (i, entry) in chunk.chunks_exact_mut(entry_size).enumerate() {
         let off = mix(seed, i as u64) % text_len.max(1);

@@ -107,7 +107,8 @@ impl KernelLayout {
         assert!(!segments.is_empty(), "layout needs at least one segment");
         let mut sections = Vec::new();
         let mut cursor = base;
-        // Membership test only, never iterated: lint:allow(unordered-iter)
+        // Membership test only, never iterated, so its order cannot leak.
+        #[allow(clippy::disallowed_types)]
         let mut seen = std::collections::HashSet::new();
         for (seg_idx, seg) in segments.iter().enumerate() {
             assert!(!seg.is_empty(), "segment {seg_idx} has no sections");

@@ -49,8 +49,9 @@ impl PagePermissions {
     /// Panics if `covered` is empty.
     pub fn all_writable(covered: MemRange) -> Self {
         assert!(!covered.is_empty(), "empty permission range");
-        // lint:allow(cast-truncation) — page count is bounded by the
-        // covered range, itself limited to the simulated image size.
+        // The page count is bounded by the covered range, itself limited to
+        // the simulated image size.
+        #[allow(clippy::cast_possible_truncation)]
         let pages = covered.len().div_ceil(PAGE_SIZE) as usize;
         PagePermissions {
             covered,
@@ -146,7 +147,7 @@ impl PagePermissions {
             "address {addr} outside permission range {}",
             self.covered
         );
-        // lint:allow(cast-truncation) — bounded by the page count, a usize.
+        // Bounded by the page count, a usize.
         (addr.offset_from(self.covered.start()) / PAGE_SIZE) as usize
     }
 

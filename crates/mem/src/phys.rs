@@ -63,11 +63,13 @@ impl PhysMemory {
         if range.is_empty() {
             return Err(MemError::EmptyRange);
         }
+        // A range too large for usize could not be backed by host memory
+        // anyway.
+        #[allow(clippy::cast_possible_truncation)]
+        let len = range.len() as usize;
         Ok(PhysMemory {
             base: range.start(),
-            // lint:allow(cast-truncation) — a range too large for usize
-            // could not be backed by host memory anyway.
-            bytes: vec![0; range.len() as usize],
+            bytes: vec![0; len],
             perms: PagePermissions::all_writable(range),
         })
     }
@@ -103,10 +105,11 @@ impl PhysMemory {
     /// [`MemError::OutOfBounds`] if `range` is not inside memory.
     pub fn read(&self, range: MemRange) -> Result<&[u8], MemError> {
         self.check(range)?;
-        // lint:allow(cast-truncation) — check() bounds both values by
-        // self.bytes.len(), a usize.
+        // check() bounds both values by self.bytes.len(), a usize.
+        #[allow(clippy::cast_possible_truncation)]
         let start = range.start().offset_from(self.base) as usize;
-        let len = range.len() as usize; // lint:allow(cast-truncation) — bounded by check()
+        #[allow(clippy::cast_possible_truncation)]
+        let len = range.len() as usize;
         Ok(self
             .bytes
             .get(start..start + len)
@@ -159,8 +162,8 @@ impl PhysMemory {
     }
 
     fn write_raw(&mut self, addr: PhysAddr, new: &[u8]) -> WriteRecord {
-        // lint:allow(cast-truncation) — both callers check() the range
-        // against self.bytes.len() first.
+        // Both callers check() the range against self.bytes.len() first.
+        #[allow(clippy::cast_possible_truncation)]
         let start = addr.offset_from(self.base) as usize;
         let dst = self
             .bytes
@@ -176,7 +179,11 @@ impl PhysMemory {
     }
 
     fn check(&self, range: MemRange) -> Result<(), MemError> {
-        if self.range().contains_range(&range) {
+        // `contains_range` holds for an empty range anywhere; an access
+        // still needs its start in [base, base + len] to index the bytes.
+        let start_ok = range.start() >= self.base
+            && range.start().offset_from(self.base) <= self.bytes.len() as u64;
+        if start_ok && self.range().contains_range(&range) {
             Ok(())
         } else {
             Err(MemError::OutOfBounds {

@@ -126,10 +126,12 @@ impl ScanWindow {
             let a = hit.start() + i;
             let scan_off = a.offset_from(self.range.start());
             if self.read_instant(scan_off) >= time {
-                // lint:allow(cast-truncation) — both offsets index slices
-                // whose lengths are usize; the intersection bounds them.
+                // Both offsets index slices whose lengths are usize; the
+                // intersection bounds them.
+                #[allow(clippy::cast_possible_truncation)]
                 let src_off = a.offset_from(write_range.start()) as usize;
-                let dst_off = scan_off as usize; // lint:allow(cast-truncation) — bounded by observed.len()
+                #[allow(clippy::cast_possible_truncation)]
+                let dst_off = scan_off as usize;
                 let src = bytes
                     .get(src_off)
                     .copied()

@@ -5,8 +5,8 @@
 //! Sim-time lives in `satin_sim::SimTime` and the telemetry timelines; the
 //! two must never mix (the two-clocks rule, DESIGN.md §14), which is why
 //! this module's types carry `host`/`wall` in their field names and why the
-//! only `Instant::now` calls in the workspace's non-stub library code are
-//! the two explicitly allowed ones below.
+//! only `Instant::now` call in the workspace's non-stub library code is the
+//! one in [`HostClock::start`], allowed past `clippy.toml` by name.
 //!
 //! All output from these types goes to **stderr** in the `repro` binary:
 //! stdout carries campaign results that `ci.sh` byte-compares across
@@ -29,10 +29,11 @@ pub struct HostClock {
 impl HostClock {
     /// Starts a clock at "now".
     pub fn start() -> Self {
-        HostClock {
-            // Harness self-profiling, never simulation input.
-            epoch: Instant::now(), // lint:allow(wall-clock)
-        }
+        // The wall-clock doorway: harness self-profiling, never simulation
+        // input.
+        #[allow(clippy::disallowed_methods)]
+        let epoch = Instant::now();
+        HostClock { epoch }
     }
 
     /// Nanoseconds elapsed since the epoch (saturating at `u64::MAX`).

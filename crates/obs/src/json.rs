@@ -16,8 +16,8 @@
 //!   never a stack overflow.
 //!
 //! Objects preserve key order as `Vec<(String, Json)>` — deliberately not a
-//! hash map (the satin-lint `unordered-iter` rule bans those for a reason:
-//! everything downstream of this parser ends up in deterministic reports).
+//! hash map (`clippy.toml` disallows those for a reason: everything
+//! downstream of this parser ends up in deterministic reports).
 
 use std::fmt;
 

@@ -11,8 +11,8 @@
 //! The thread ends when every sender is gone (the campaign observer and
 //! all cell logs dropped); [`ProgressRenderer::finish`] then joins it and
 //! returns the accumulated [`HostReport`]. This is the only sanctioned
-//! thread spawn outside the campaign runner (see the satin-lint
-//! allowlist): it must be a *reader* thread, never a worker — it does no
+//! thread spawn outside the campaign runner (see the sanctioned-file list
+//! in `ci.sh`): it must be a *reader* thread, never a worker — it does no
 //! simulation and its scheduling cannot influence any result.
 
 use crate::host::{fmt_host_ns, HostClock, HostReport, WorkerUse};
@@ -37,6 +37,8 @@ impl ProgressRenderer {
     /// accumulates the [`HostReport`] (useful when `--events-out` is given
     /// without `--progress`, and for deterministic tests).
     pub fn spawn(rx: mpsc::Receiver<LiveEvent>, render: bool) -> Self {
+        // The one detached thread: a pure reader of the lossy live channel.
+        #[allow(clippy::disallowed_methods)]
         let handle = thread::spawn(move || drain(rx, render));
         ProgressRenderer { handle }
     }

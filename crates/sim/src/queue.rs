@@ -153,7 +153,7 @@ impl<E> EventQueue<E> {
         if slot < self.near_slot {
             insert_desc(&mut self.near, entry);
         } else if slot - self.near_slot < NUM_BUCKETS {
-            // lint:allow(cast-truncation) — masked to NUM_BUCKETS - 1.
+            // Masked to NUM_BUCKETS - 1, so the cast is lossless.
             let idx = (slot & (NUM_BUCKETS - 1)) as usize;
             self.buckets
                 .get_mut(idx)
@@ -191,7 +191,7 @@ impl<E> EventQueue<E> {
             // Scan the window for the first non-empty bucket and promote it.
             for off in 0..NUM_BUCKETS {
                 let slot = self.near_slot + off;
-                // lint:allow(cast-truncation) — masked to NUM_BUCKETS - 1.
+                // Masked to NUM_BUCKETS - 1, so the cast is lossless.
                 let idx = (slot & (NUM_BUCKETS - 1)) as usize;
                 let bucket = self
                     .buckets

@@ -82,6 +82,9 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    // `m as u64` keeps the low half of the product on purpose: that is
+    // Lemire's rejection test.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "SimRng::below(0)");
         // Lemire's multiply-shift with rejection: unbiased and branch-light.
@@ -128,7 +131,8 @@ impl SimRng {
             return;
         }
         for i in (1..n).rev() {
-            // lint:allow(cast-truncation) — below(i + 1) <= i < slice.len().
+            // below(i + 1) <= i < slice.len(), a usize.
+            #[allow(clippy::cast_possible_truncation)]
             let j = self.below(i as u64 + 1) as usize;
             slice.swap(i, j);
         }
@@ -139,9 +143,10 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if the slice is empty.
+    // below(len) < len, a usize.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn pick_index<T>(&mut self, slice: &[T]) -> usize {
         assert!(!slice.is_empty(), "SimRng::pick_index on empty slice");
-        // lint:allow(cast-truncation) — below(len) < len, a usize.
         self.below(slice.len() as u64) as usize
     }
 }

@@ -138,6 +138,8 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN, or too large to represent.
+    // The asserts bound `nanos` to [0, u64::MAX], so the cast is exact.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,

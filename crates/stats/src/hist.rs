@@ -1,118 +1,8 @@
-//! Fixed-width histogram for distribution sanity checks.
-
-/// A histogram over `[lo, hi)` with equal-width bins plus underflow/overflow
-/// counters.
-///
-/// # Example
-///
-/// ```
-/// use satin_stats::Histogram;
-/// let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-/// h.add(1.0);
-/// h.add(9.9);
-/// h.add(-5.0);
-/// assert_eq!(h.counts(), &[1, 0, 0, 0, 1]);
-/// assert_eq!(h.underflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    ///
-    /// Returns `None` if `bins == 0`, bounds are non-finite, or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Option<Histogram> {
-        if bins == 0 || !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return None;
-        }
-        Some(Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Adds an observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
-    pub fn add(&mut self, value: f64) {
-        assert!(!value.is_nan(), "NaN observation");
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (value - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.counts.len() as f64) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The `[lo, hi)` edges of bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn bin_edges(&self, idx: usize) -> (f64, f64) {
-        assert!(idx < self.counts.len(), "bin index out of range");
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + idx as f64 * w, self.lo + (idx + 1) as f64 * w)
-    }
-
-    /// Renders the histogram as labelled count rows (one per nonempty bin,
-    /// plus underflow/overflow rows when nonzero), bars scaled to `width`.
-    pub fn render(&self, width: usize) -> String {
-        let mut rows = Vec::new();
-        if self.underflow > 0 {
-            rows.push((format!("< {:.3}", self.lo), self.underflow));
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                let (lo, hi) = self.bin_edges(i);
-                rows.push((format!("[{lo:.3}, {hi:.3})"), c));
-            }
-        }
-        if self.overflow > 0 {
-            rows.push((format!(">= {:.3}", self.hi), self.overflow));
-        }
-        render_count_rows(&rows, width)
-    }
-}
+//! ASCII rendering of labelled counts.
 
 /// Renders labelled counts as an ASCII histogram: one row per label, bars
-/// scaled so the largest count spans `width` characters. The shared renderer
-/// behind [`Histogram::render`] and the telemetry layer's log-bucket
-/// duration histograms.
+/// scaled so the largest count spans `width` characters. The renderer
+/// behind the telemetry layer's log-bucket duration histograms.
 ///
 /// # Example
 ///
@@ -156,70 +46,9 @@ pub fn render_count_rows(rows: &[(String, u64)], width: usize) -> String {
     out
 }
 
-impl Extend<f64> for Histogram {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for v in iter {
-            self.add(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn invalid_construction() {
-        assert!(Histogram::new(0.0, 1.0, 0).is_none());
-        assert!(Histogram::new(1.0, 1.0, 4).is_none());
-        assert!(Histogram::new(2.0, 1.0, 4).is_none());
-        assert!(Histogram::new(f64::NAN, 1.0, 4).is_none());
-    }
-
-    #[test]
-    fn binning_edges() {
-        let mut h = Histogram::new(0.0, 1.0, 4).unwrap();
-        h.add(0.0);
-        h.add(0.25);
-        h.add(0.5);
-        h.add(0.75);
-        h.add(0.999);
-        assert_eq!(h.counts(), &[1, 1, 1, 2]);
-        assert_eq!(h.bin_edges(0), (0.0, 0.25));
-        assert_eq!(h.bin_edges(3), (0.75, 1.0));
-    }
-
-    #[test]
-    fn upper_bound_is_overflow() {
-        let mut h = Histogram::new(0.0, 1.0, 2).unwrap();
-        h.add(1.0);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.counts().iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn extend_counts_total() {
-        let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        h.extend((0..100).map(|i| i as f64 / 10.0));
-        assert_eq!(h.total(), 100);
-    }
-
-    #[test]
-    fn render_shows_nonempty_bins_and_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        h.add(1.0);
-        h.add(1.5);
-        h.add(9.0);
-        h.add(-1.0);
-        h.add(42.0);
-        let out = h.render(10);
-        assert_eq!(out.lines().count(), 4); // 2 bins + underflow + overflow
-        assert!(out.contains("[0.000, 2.000)"));
-        assert!(out.contains("< 0.000"));
-        assert!(out.contains(">= 10.000"));
-        assert!(out.contains('#'));
-    }
 
     #[test]
     fn render_count_rows_scales_bars() {
@@ -230,14 +59,5 @@ mod tests {
         assert_eq!(lines[0].matches('#').count(), 8);
         assert_eq!(lines[1].matches('#').count(), 4);
         assert!(render_count_rows(&[], 8).is_empty());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_total_conserved(values in proptest::collection::vec(-10.0f64..20.0, 0..300)) {
-            let mut h = Histogram::new(0.0, 10.0, 7).unwrap();
-            h.extend(values.iter().copied());
-            prop_assert_eq!(h.total(), values.len() as u64);
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! - [`Summary`] / [`OnlineStats`] — streaming mean/min/max/stddev;
 //! - [`FiveNumber`] — boxplot five-number summaries with Tukey whiskers and
 //!   outlier extraction (Figure 4);
-//! - [`Histogram`] — fixed-width binning for distribution sanity checks;
+//! - [`hist::render_count_rows`] — ASCII histogram rows for labelled counts;
 //! - [`table::Table`] — aligned plain-text tables matching the paper's rows;
 //! - [`chart`] — ASCII bar charts and boxplot strips for terminal reports;
 //! - [`fmt_sci`] — the paper's `x.xx e-y s` scientific time formatting.
@@ -20,7 +20,6 @@ pub mod summary;
 pub mod table;
 
 pub use boxplot::FiveNumber;
-pub use hist::Histogram;
 pub use summary::{OnlineStats, Summary};
 
 /// Formats a number in the paper's scientific notation, e.g. `2.61e-4`.

@@ -84,6 +84,9 @@ fn daemon_round_trip_survives_hostile_clients() {
     let store = dir.join("results.jsonl");
     let _ = std::fs::remove_file(&store);
 
+    // The daemon under test runs on a scoped thread; the test only checks
+    // replies, never timing-dependent order.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|s| {
         let daemon = s.spawn(|| serve(&socket, &store, stub_backend));
         let _stop = StopOnDrop(&socket);
