@@ -1,14 +1,20 @@
 //! Per-core runqueues: an RT FIFO class over a CFS class.
 
 use crate::task::TaskId;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One core's runqueue pair.
 ///
-/// The RT queue is keyed `(99 - priority, arrival)` so iteration order is
-/// highest-priority-first, FIFO within a priority — `SCHED_FIFO` semantics.
-/// The CFS queue is keyed `(vruntime, id)` so the leftmost (smallest
-/// vruntime) task is picked, like the kernel's red-black tree.
+/// The RT queue is ordered by `(99 - priority, arrival)`: highest priority
+/// first, FIFO within a priority — `SCHED_FIFO` semantics. The CFS queue
+/// is ordered by `(vruntime, id)`, so the smallest-vruntime task is picked
+/// first, like Linux CFS's leftmost task.
+///
+/// Both are small `Vec`s kept sorted *descending* by those keys, so the
+/// next pick is the last element and `pick_next` is a `pop`. A core rarely
+/// holds more than two queued tasks, where a shifted insert beats any tree.
+///
+/// A task may be queued at most once; enqueueing one that is already
+/// queued is a scheduler bug and fails a debug assertion.
 ///
 /// # Example
 ///
@@ -26,10 +32,19 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CoreRunQueue {
-    rt: BTreeMap<(u8, u64), TaskId>,
-    cfs: BTreeSet<(u64, TaskId)>,
+    /// `((99 - priority, arrival), task)`, sorted descending.
+    rt: Vec<((u8, u64), TaskId)>,
+    /// `(vruntime, task)`, sorted descending.
+    cfs: Vec<(u64, TaskId)>,
     arrival: u64,
     min_vruntime: u64,
+}
+
+/// Inserts `entry` into `queue`, which is sorted descending, keeping it so.
+/// Entries are unique, so there are no ties to place.
+fn insert_descending<T: Ord>(queue: &mut Vec<T>, entry: T) {
+    let at = queue.partition_point(|e| *e > entry);
+    queue.insert(at, entry);
 }
 
 impl CoreRunQueue {
@@ -45,54 +60,56 @@ impl CoreRunQueue {
     /// Panics if `priority` is outside `1..=99`.
     pub fn enqueue_rt(&mut self, priority: u8, task: TaskId) {
         assert!((1..=99).contains(&priority), "bad RT priority {priority}");
+        debug_assert!(!self.contains(task), "{task} is already queued");
         let key = (99 - priority, self.arrival);
         self.arrival += 1;
-        self.rt.insert(key, task);
+        insert_descending(&mut self.rt, (key, task));
     }
 
     /// Enqueues a CFS task at `vruntime`.
     pub fn enqueue_cfs(&mut self, vruntime: u64, task: TaskId) {
-        self.cfs.insert((vruntime, task));
+        debug_assert!(!self.contains(task), "{task} is already queued");
+        insert_descending(&mut self.cfs, (vruntime, task));
     }
 
     /// Picks (and removes) the next task: the highest-priority RT task if
     /// any, else the smallest-vruntime CFS task.
     pub fn pick_next(&mut self) -> Option<TaskId> {
-        if let Some((&key, &tid)) = self.rt.iter().next() {
-            self.rt.remove(&key);
+        if let Some((_, tid)) = self.rt.pop() {
             return Some(tid);
         }
-        if let Some(&(v, tid)) = self.cfs.iter().next() {
-            self.cfs.remove(&(v, tid));
-            self.min_vruntime = self.min_vruntime.max(v);
-            return Some(tid);
-        }
-        None
+        let (v, tid) = self.cfs.pop()?;
+        self.min_vruntime = self.min_vruntime.max(v);
+        Some(tid)
     }
 
     /// The task `pick_next` would return, without removing it.
     pub fn peek_next(&self) -> Option<TaskId> {
         self.rt
-            .values()
-            .next()
-            .or_else(|| self.cfs.iter().next().map(|(_, t)| t))
-            .copied()
+            .last()
+            .map(|&(_, t)| t)
+            .or_else(|| self.cfs.last().map(|&(_, t)| t))
     }
 
     /// The priority of the best queued RT task, if any.
     pub fn best_rt_priority(&self) -> Option<u8> {
-        self.rt.keys().next().map(|(inv, _)| 99 - inv)
+        self.rt.last().map(|&((inv, _), _)| 99 - inv)
+    }
+
+    /// `true` if `task` is queued here.
+    pub(crate) fn contains(&self, task: TaskId) -> bool {
+        self.rt.iter().any(|&(_, t)| t == task) || self.cfs.iter().any(|&(_, t)| t == task)
     }
 
     /// Removes a specific task from whichever queue holds it.
     /// Returns `true` if it was queued.
     pub fn remove(&mut self, task: TaskId) -> bool {
-        if let Some(key) = self.rt.iter().find(|(_, t)| **t == task).map(|(k, _)| *k) {
-            self.rt.remove(&key);
+        if let Some(i) = self.rt.iter().position(|&(_, t)| t == task) {
+            self.rt.remove(i);
             return true;
         }
-        if let Some(key) = self.cfs.iter().find(|(_, t)| *t == task).copied() {
-            self.cfs.remove(&key);
+        if let Some(i) = self.cfs.iter().position(|&(_, t)| t == task) {
+            self.cfs.remove(i);
             return true;
         }
         false
@@ -134,6 +151,7 @@ impl CoreRunQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn rt_priority_order() {
@@ -192,6 +210,24 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "task7 is already queued")]
+    fn double_enqueue_is_loud() {
+        let mut rq = CoreRunQueue::new();
+        rq.enqueue_cfs(5, TaskId::new(7));
+        rq.enqueue_cfs(5, TaskId::new(7));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "task7 is already queued")]
+    fn enqueue_across_classes_is_loud() {
+        let mut rq = CoreRunQueue::new();
+        rq.enqueue_cfs(5, TaskId::new(7));
+        rq.enqueue_rt(50, TaskId::new(7));
+    }
+
+    #[test]
     fn peek_does_not_remove() {
         let mut rq = CoreRunQueue::new();
         rq.enqueue_cfs(1, TaskId::new(7));
@@ -199,7 +235,101 @@ mod tests {
         assert_eq!(rq.len(), 1);
     }
 
+    /// The tree-map runqueue the sorted `Vec`s replaced, kept as the
+    /// reference model for [`prop_matches_the_tree_model`].
+    #[derive(Default)]
+    struct TreeModel {
+        rt: BTreeMap<(u8, u64), TaskId>,
+        cfs: BTreeSet<(u64, TaskId)>,
+        arrival: u64,
+        min_vruntime: u64,
+    }
+
+    impl TreeModel {
+        fn enqueue_rt(&mut self, priority: u8, task: TaskId) {
+            self.rt.insert((99 - priority, self.arrival), task);
+            self.arrival += 1;
+        }
+
+        fn enqueue_cfs(&mut self, vruntime: u64, task: TaskId) {
+            self.cfs.insert((vruntime, task));
+        }
+
+        fn pick_next(&mut self) -> Option<TaskId> {
+            if let Some((_, tid)) = self.rt.pop_first() {
+                return Some(tid);
+            }
+            let (v, tid) = self.cfs.pop_first()?;
+            self.min_vruntime = self.min_vruntime.max(v);
+            Some(tid)
+        }
+
+        fn peek_next(&self) -> Option<TaskId> {
+            let cfs = self.cfs.first().map(|&(_, t)| t);
+            self.rt.values().next().copied().or(cfs)
+        }
+
+        fn best_rt_priority(&self) -> Option<u8> {
+            self.rt.keys().next().map(|(inv, _)| 99 - inv)
+        }
+
+        fn remove(&mut self, task: TaskId) -> bool {
+            if let Some(key) = self.rt.iter().find(|(_, t)| **t == task).map(|(k, _)| *k) {
+                self.rt.remove(&key);
+                return true;
+            }
+            if let Some(key) = self.cfs.iter().find(|(_, t)| *t == task).copied() {
+                return self.cfs.remove(&key);
+            }
+            false
+        }
+
+        fn queued(&self, task: TaskId) -> bool {
+            self.rt.values().any(|t| *t == task) || self.cfs.iter().any(|(_, t)| *t == task)
+        }
+    }
+
     proptest! {
+        /// Any interleaving of runqueue operations gives the same answers
+        /// as the tree-map model. Task ids come from a pool of 8 and
+        /// vruntimes from a narrow range, so ties on vruntime, re-enqueues
+        /// after a pick and removes of absent tasks all occur.
+        #[test]
+        fn prop_matches_the_tree_model(
+            ops in proptest::collection::vec((0u8..6, 1u8..=99, 0u64..16, 0u64..8), 0..200),
+        ) {
+            let mut rq = CoreRunQueue::new();
+            let mut model = TreeModel::default();
+            for (op, priority, vruntime, id) in ops {
+                let task = TaskId::new(id);
+                match op {
+                    // A double enqueue is a caller bug, so skip queued tasks.
+                    0 if !model.queued(task) => {
+                        rq.enqueue_rt(priority, task);
+                        model.enqueue_rt(priority, task);
+                    }
+                    1 if !model.queued(task) => {
+                        rq.enqueue_cfs(vruntime, task);
+                        model.enqueue_cfs(vruntime, task);
+                    }
+                    2 => prop_assert_eq!(rq.pick_next(), model.pick_next()),
+                    3 => prop_assert_eq!(rq.remove(task), model.remove(task)),
+                    4 => {
+                        rq.advance_min_vruntime(vruntime);
+                        model.min_vruntime = model.min_vruntime.max(vruntime);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(rq.peek_next(), model.peek_next());
+                prop_assert_eq!(rq.best_rt_priority(), model.best_rt_priority());
+                prop_assert_eq!(rq.rt_len(), model.rt.len());
+                prop_assert_eq!(rq.cfs_len(), model.cfs.len());
+                prop_assert_eq!(rq.len(), model.rt.len() + model.cfs.len());
+                prop_assert_eq!(rq.min_vruntime(), model.min_vruntime);
+                prop_assert_eq!(rq.contains(task), model.queued(task));
+            }
+        }
+
         /// Invariant 2 (DESIGN.md): an RT task is never picked after a CFS
         /// task that was enqueued at the same time.
         #[test]

@@ -264,6 +264,10 @@ impl Scheduler {
     }
 
     fn enqueue(&mut self, core: CoreId, tid: TaskId) {
+        debug_assert!(
+            !self.queues.iter().any(|q| q.contains(tid)),
+            "{tid} is already queued"
+        );
         let (class, vruntime) = {
             let t = self.task(tid);
             (t.class(), t.vruntime())

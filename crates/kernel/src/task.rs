@@ -123,10 +123,19 @@ impl Affinity {
     }
 
     /// Iterates allowed core indices (ascending).
+    ///
+    /// Walks only the set bits (lowest first, then clear it), so a pinned
+    /// task's wake costs one step rather than a 64-bit scan.
     pub fn cores(self) -> impl Iterator<Item = CoreId> {
-        (0..64)
-            .filter(move |i| self.mask & (1 << i) != 0)
-            .map(CoreId::new)
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(CoreId::new(i))
+        })
     }
 
     /// Number of allowed cores.
@@ -264,6 +273,7 @@ impl Task {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn affinity_any_and_pinned() {
@@ -283,6 +293,46 @@ mod tests {
     fn affinity_64_cores() {
         let a = Affinity::any(64);
         assert_eq!(a.count(), 64);
+    }
+
+    /// The naive reference for [`Affinity::cores`]: test all 64 bits.
+    fn cores_by_scan(mask: u64) -> Vec<CoreId> {
+        (0..64)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(CoreId::new)
+            .collect()
+    }
+
+    #[test]
+    fn cores_walk_matches_the_scan_at_the_edges() {
+        for mask in [
+            0,
+            1,
+            1 << 63,
+            u64::MAX,
+            u64::MAX >> 1,
+            0x8000_0000_0000_0001,
+        ] {
+            let got: Vec<_> = Affinity { mask }.cores().collect();
+            assert_eq!(got, cores_by_scan(mask), "mask {mask:#x}");
+        }
+    }
+
+    proptest! {
+        /// The set-bit walk yields exactly the scan's cores, ascending.
+        #[test]
+        fn prop_cores_walk_matches_the_scan(
+            dense in any::<u64>(),
+            bits in proptest::collection::vec(0u32..64, 0..8),
+        ) {
+            // A uniform mask is about half ones; the OR of a few chosen
+            // bits gives the sparse masks real affinities have.
+            let sparse = bits.iter().fold(0u64, |m, b| m | 1 << b);
+            for mask in [dense, sparse, dense & sparse, !sparse] {
+                let got: Vec<_> = Affinity { mask }.cores().collect();
+                prop_assert_eq!(got, cores_by_scan(mask));
+            }
+        }
     }
 
     #[test]

@@ -47,9 +47,47 @@ struct Report {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedTimeBuffer {
-    slots: Vec<VecDeque<Report>>,
+    slots: Vec<Slot>,
     /// Reports retained per core (enough to cover any realistic delay).
     depth: usize,
+}
+
+/// One core's retained reports, oldest first.
+#[derive(Debug, Clone)]
+struct Slot {
+    reports: VecDeque<Report>,
+    /// Every report published since the last clear was published no
+    /// earlier than the one before it. Reporters publish in time order, so
+    /// this almost always holds; a body that publishes inside another
+    /// report's busy period (the KProber-I tick hook can) breaks it.
+    in_order: bool,
+}
+
+impl Slot {
+    fn new() -> Self {
+        Slot {
+            reports: VecDeque::new(),
+            in_order: true,
+        }
+    }
+
+    /// The value of the latest-published report passing `visible`; among
+    /// equal publish times, the newest of them.
+    ///
+    /// While the reports are in publish order, the newest visible report
+    /// is that answer, so the scan runs newest-first and stops at the first
+    /// hit. Otherwise it falls back to the full `max_by_key` scan.
+    fn freshest(&self, visible: impl Fn(&Report) -> bool) -> Option<SimTime> {
+        let found = if self.in_order {
+            self.reports.iter().rev().find(|r| visible(r))
+        } else {
+            self.reports
+                .iter()
+                .filter(|r| visible(r))
+                .max_by_key(|r| r.published)
+        };
+        found.map(|r| r.value)
+    }
 }
 
 impl SharedTimeBuffer {
@@ -61,7 +99,7 @@ impl SharedTimeBuffer {
     pub fn new(num_cores: usize) -> Self {
         assert!(num_cores > 0, "buffer needs at least one core");
         SharedTimeBuffer {
-            slots: vec![VecDeque::new(); num_cores],
+            slots: vec![Slot::new(); num_cores],
             depth: 16,
         }
     }
@@ -80,7 +118,11 @@ impl SharedTimeBuffer {
         value: SimTime,
     ) {
         assert!(visible_at >= published, "visibility before publication");
-        let q = &mut self.slots[core.index()];
+        let slot = &mut self.slots[core.index()];
+        if slot.reports.back().is_some_and(|r| published < r.published) {
+            slot.in_order = false;
+        }
+        let q = &mut slot.reports;
         if q.len() == self.depth {
             q.pop_front();
         }
@@ -98,11 +140,7 @@ impl SharedTimeBuffer {
     ///
     /// Panics if `core` is out of range.
     pub fn read_remote(&self, core: CoreId, now: SimTime) -> Option<SimTime> {
-        self.slots[core.index()]
-            .iter()
-            .filter(|r| r.visible_at <= now)
-            .max_by_key(|r| r.published)
-            .map(|r| r.value)
+        self.slots[core.index()].freshest(|r| r.visible_at <= now)
     }
 
     /// The freshest value as seen from the *publishing* core itself (no
@@ -112,11 +150,7 @@ impl SharedTimeBuffer {
     ///
     /// Panics if `core` is out of range.
     pub fn read_local(&self, core: CoreId, now: SimTime) -> Option<SimTime> {
-        self.slots[core.index()]
-            .iter()
-            .filter(|r| r.published <= now)
-            .max_by_key(|r| r.published)
-            .map(|r| r.value)
+        self.slots[core.index()].freshest(|r| r.published <= now)
     }
 
     /// Number of cores covered.
@@ -126,8 +160,9 @@ impl SharedTimeBuffer {
 
     /// Clears all reports.
     pub fn clear(&mut self) {
-        for q in &mut self.slots {
-            q.clear();
+        for slot in &mut self.slots {
+            slot.reports.clear();
+            slot.in_order = true;
         }
     }
 }
@@ -135,6 +170,7 @@ impl SharedTimeBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -189,6 +225,72 @@ mod tests {
         assert_eq!(b.read_remote(c, t(1000)), Some(t(99)));
         b.clear();
         assert_eq!(b.read_remote(c, t(1000)), None);
+    }
+
+    /// The full-scan answer over every report ever published to a core,
+    /// cut to the newest `depth`: what the buffer must return.
+    fn oracle(
+        history: &[Report],
+        depth: usize,
+        visible: impl Fn(&Report) -> bool,
+    ) -> Option<SimTime> {
+        history[history.len().saturating_sub(depth)..]
+            .iter()
+            .filter(|r| visible(r))
+            .max_by_key(|r| r.published)
+            .map(|r| r.value)
+    }
+
+    proptest! {
+        /// Reads match the full-scan oracle for any publish sequence:
+        /// mostly in publish order with occasional out-of-order reports,
+        /// equal publish times, more reports than the depth retains, clears,
+        /// and reads at any instant.
+        #[test]
+        fn prop_reads_match_the_full_scan(
+            ops in proptest::collection::vec((0u8..64, 0u64..40, 0u64..60, 0usize..2), 0..200),
+        ) {
+            let mut b = SharedTimeBuffer::new(2);
+            let mut history: Vec<Vec<Report>> = vec![Vec::new(); 2];
+            let mut clock = 0u64;
+            for (op, step, delay, core) in ops {
+                let c = CoreId::new(core);
+                match op {
+                    // In-order publish (step 0 repeats the last publish time).
+                    0..=39 => clock += step % 10,
+                    // Out-of-order publish: back in time.
+                    40..=43 => clock = clock.saturating_sub(step),
+                    // A rare clear, so most runs still evict past the depth.
+                    44 if step < 4 => {
+                        b.clear();
+                        history.iter_mut().for_each(Vec::clear);
+                        continue;
+                    }
+                    // Read at any instant around the clock.
+                    _ => {
+                        let now = t((clock + step).saturating_sub(20));
+                        let h = &history[core];
+                        prop_assert_eq!(
+                            b.read_remote(c, now),
+                            oracle(h, b.depth, |r| r.visible_at <= now)
+                        );
+                        prop_assert_eq!(
+                            b.read_local(c, now),
+                            oracle(h, b.depth, |r| r.published <= now)
+                        );
+                        continue;
+                    }
+                }
+                let report = Report {
+                    published: t(clock),
+                    visible_at: t(clock + delay),
+                    // The value marks the publish slot so ties are told apart.
+                    value: t(history[core].len() as u64),
+                };
+                b.publish(c, report.published, report.visible_at, report.value);
+                history[core].push(report);
+            }
+        }
     }
 
     #[test]
