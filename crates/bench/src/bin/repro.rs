@@ -8,7 +8,7 @@
 //! Experiments, in `all`'s run order: `table1 switch recover table2 fig4
 //! affinity race detection fig7 baseline areasweep userprober preemption
 //! portability threshold predictor remediation kprobertrace telemetry
-//! analysis`; by name only: `grid faults bench trajectory`; then `all`
+//! analysis`; by name only: `grid faults`; then `all`
 //! (the default) and the service commands `serve submit ping shutdown`.
 //! Any other word is an error (exit 2). `--full` runs
 //! paper-scale round counts (slow: several minutes of simulation); the
@@ -46,13 +46,6 @@
 //! retries — instead of killing the batch, and the report is byte-identical
 //! for any `--jobs`. Neither flag nor experiment is part of `all`.
 //!
-//! The `bench` experiment measures the hot-path microbenchmarks (timing
-//! wheel vs. reference heap, batched vs. per-byte hashing, the seeds/sec
-//! model, and one real quick campaign) and prints the report; `--json FILE`
-//! additionally writes the `BENCH_*.json` snapshot that `ci.sh` validates
-//! and the ROADMAP trajectory commits. Not part of `all` — wall-clock
-//! numbers belong to the machine that measured them.
-//!
 //! The campaign-service commands (`satin-serve`) replace experiments when
 //! given: `repro serve --socket S --store F` runs the job daemon (campaigns
 //! fold through this process's runner; finished cells persist in the
@@ -63,27 +56,20 @@
 //! report, so warm and cold runs can be `cmp`-ed.
 
 use satin_bench::{
-    ablation, detection, fig7, perf, race, recover, switch, table1, table2, threshold_sweep,
-    userprober, CampaignRunner, MetricsReport, ScenarioGrid, DEFAULT_SEED,
+    ablation, detection, fig7, race, recover, switch, table1, table2, threshold_sweep, userprober,
+    CampaignRunner, MetricsReport, ScenarioGrid, DEFAULT_SEED,
 };
-use satin_obs::{
-    CampaignObs, EventStream, GateVerdict, ObsEvent, PhaseTimer, ProgressRenderer, Trajectory,
-};
+use satin_obs::{CampaignObs, EventStream, ObsEvent, PhaseTimer, ProgressRenderer};
 use satin_scenario::{FaultPlan, Scenario};
 use satin_serve::CellRecord;
 use satin_sim::SimDuration;
 use satin_stats::table::{Align, Table};
 use satin_stats::{chart, fmt_percent, fmt_sci, FiveNumber};
 
-/// Regression tolerance of `repro bench trajectory`: the newest committed
-/// snapshot may not lose more than this fraction of the previous one's
-/// seeds/sec-model speedup.
-const TRAJECTORY_TOLERANCE: f64 = 0.20;
-
 /// Every word `repro` accepts in place of a flag: the experiments (in
 /// `all`'s run order, then those that run only by name), `all`, and the
 /// campaign-service commands. Anything else is rejected by `parse_args`.
-const EXPERIMENTS: [&str; 29] = [
+const EXPERIMENTS: [&str; 27] = [
     "table1",
     "switch",
     "recover",
@@ -106,8 +92,6 @@ const EXPERIMENTS: [&str; 29] = [
     "analysis",
     "grid",
     "faults",
-    "bench",
-    "trajectory",
     "all",
     "serve",
     "submit",
@@ -131,8 +115,6 @@ struct Opts {
     metrics_json: Option<String>,
     /// `--events-out` target for the merged campaign event stream (JSONL).
     events_out: Option<String>,
-    /// `--json` target for the `bench` experiment's BENCH_*.json snapshot.
-    json_out: Option<String>,
     /// The selected scenario (Juno r1 paper defaults unless `--scenario`).
     scenario: Scenario,
     /// True when `--scenario` was given explicitly.
@@ -208,7 +190,6 @@ fn parse_args() -> Opts {
     let mut trace_out = None;
     let mut metrics_json = None;
     let mut events_out = None;
-    let mut json_out = None;
     let mut scenario = None;
     let mut faults: Option<(String, FaultPlan)> = None;
     let mut socket = None;
@@ -269,12 +250,6 @@ fn parse_args() -> Opts {
                         .unwrap_or_else(|| die("--metrics-json needs a file path")),
                 );
             }
-            "--json" => {
-                json_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--json needs a file path")),
-                );
-            }
             "--socket" => {
                 socket = Some(
                     args.next()
@@ -309,7 +284,7 @@ fn parse_args() -> Opts {
                 println!(
                     "usage: repro [--full] [--seed N] [--jobs N] [--metrics] [--analyze] \
                      [--progress] [--scenario NAME|FILE] [--scenario-list] [--faults NAME|FILE] \
-                     [--trace-out FILE] [--metrics-json FILE] [--events-out FILE] [--json FILE] \
+                     [--trace-out FILE] [--metrics-json FILE] [--events-out FILE] \
                      [--socket PATH] [--store PATH] [--seeds N,N,...] [EXPERIMENT ...]\n\
                      experiments: {}",
                     EXPERIMENTS.join(" ")
@@ -330,9 +305,6 @@ fn parse_args() -> Opts {
         // campaign".
         if analyze {
             experiments.push("analysis".to_string());
-        } else if json_out.is_some() {
-            // Bare --json means "measure and snapshot the hot path".
-            experiments.push("bench".to_string());
         } else if trace_out.is_some() || metrics_json.is_some() {
             experiments.push("telemetry".to_string());
         } else if faults.is_some() || events_out.is_some() {
@@ -361,7 +333,6 @@ fn parse_args() -> Opts {
         trace_out,
         metrics_json,
         events_out,
-        json_out,
         scenario,
         scenario_set,
         faults_set,
@@ -466,13 +437,6 @@ fn main() {
     if opts.experiments.iter().any(|e| e == "faults") {
         run_faults(&opts, &mut events);
     }
-    // Bench reads the wall clock, so its numbers are machine-local; like
-    // grid/faults it runs only by name. `repro bench trajectory` skips the
-    // measurement and audits the committed snapshots instead.
-    let trajectory = opts.experiments.iter().any(|e| e == "trajectory");
-    if opts.experiments.iter().any(|e| e == "bench") && !trajectory {
-        run_bench(&opts);
-    }
     if let Some(path) = &opts.events_out {
         let mut stream = EventStream::new();
         for e in events {
@@ -484,83 +448,9 @@ fn main() {
         // the only host-facing confirmation.
         eprintln!("wrote {} campaign events to {path}", stream.len());
     }
-    let mut failed = false;
-    if trajectory {
-        failed |= !run_trajectory();
-    }
     if (want("analysis") || opts.analyze) && !run_analysis(&opts) {
-        failed = true;
-    }
-    if failed {
         std::process::exit(1);
     }
-}
-
-/// `repro bench trajectory`: parse every committed `BENCH_*.json` in the
-/// working directory, print the delta table, and gate the newest snapshot
-/// against its predecessor. Returns `false` (process exits nonzero) on a
-/// regression beyond [`TRAJECTORY_TOLERANCE`].
-fn run_trajectory() -> bool {
-    let mut files: Vec<(String, String)> = Vec::new();
-    let dir = std::fs::read_dir(".").unwrap_or_else(|e| die(&format!("reading .: {e}")));
-    for entry in dir.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            let text = std::fs::read_to_string(entry.path())
-                .unwrap_or_else(|e| die(&format!("reading {name}: {e}")));
-            files.push((name, text));
-        }
-    }
-    files.sort();
-    println!("== Bench trajectory: committed BENCH_*.json snapshots ==");
-    let traj = Trajectory::from_texts(&files).unwrap_or_else(|e| die(&e));
-    print!("{}", traj.delta_table());
-    match traj.gate(TRAJECTORY_TOLERANCE) {
-        GateVerdict::SinglePoint => {
-            println!("gate: single snapshot, nothing to regress against\n");
-            true
-        }
-        GateVerdict::Pass { detail } => {
-            println!("gate: PASS — {detail}\n");
-            true
-        }
-        GateVerdict::Fail { detail } => {
-            println!("gate: FAIL — {detail}\n");
-            false
-        }
-    }
-}
-
-/// `rustc --version` of the toolchain on PATH — the host fingerprint the
-/// bench snapshot records (the library takes it as a string; spawning
-/// processes is the binary's job).
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn run_bench(o: &Opts) {
-    println!("== Hot-path microbenchmarks (ROADMAP item 1 trajectory) ==");
-    let report = perf::run(!o.full, o.seed, &rustc_version());
-    print!("{report}");
-    if report.seeds_per_sec.speedup < 3.0 {
-        println!(
-            "   WARNING: seeds/sec speedup {:.2}x is below the 3x trajectory gate",
-            report.seeds_per_sec.speedup
-        );
-    }
-    if let Some(path) = &o.json_out {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("wrote bench snapshot to {path}");
-    }
-    println!();
 }
 
 fn run_grid(o: &Opts) {

@@ -30,7 +30,6 @@ pub mod ablation;
 pub mod analysis;
 pub mod detection;
 pub mod fig7;
-pub mod perf;
 pub mod race;
 pub mod recover;
 pub mod runner;

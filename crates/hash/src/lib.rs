@@ -65,17 +65,6 @@ impl HashAlgorithm {
         HashAlgorithm::Fnv1a,
     ];
 
-    /// Creates a boxed hasher for this algorithm. Prefer
-    /// [`HashAlgorithm::kind`] on hot paths — it allocates nothing and
-    /// dispatches without a vtable.
-    pub fn new_hasher(self) -> Box<dyn KernelHasher> {
-        match self {
-            HashAlgorithm::Djb2 => Box::new(Djb2::new()),
-            HashAlgorithm::Sdbm => Box::new(Sdbm::new()),
-            HashAlgorithm::Fnv1a => Box::new(Fnv1a::new()),
-        }
-    }
-
     /// Creates an enum-dispatched hasher for this algorithm (no allocation,
     /// no virtual call).
     pub fn kind(self) -> HasherKind {
@@ -99,7 +88,7 @@ impl std::fmt::Display for HashAlgorithm {
 }
 
 /// One-shot hash of a byte slice. Allocation-free: dispatches through
-/// [`HasherKind`], not a boxed trait object.
+/// [`HasherKind`].
 pub fn hash_bytes(algorithm: HashAlgorithm, bytes: &[u8]) -> u64 {
     let mut h = HasherKind::new(algorithm);
     h.update(bytes);
@@ -158,10 +147,10 @@ fn affine_update<const M: u64>(state: &mut u64, bytes: &[u8]) {
     *state = h;
 }
 
-/// Enum-dispatched hasher: the same contract as [`KernelHasher`] without
-/// the per-call allocation or vtable indirection of `Box<dyn KernelHasher>`.
-/// This is what every hot path (scan-window digesting, integrity rounds)
-/// uses; the boxed form remains for runtime-configured strategy objects.
+/// Enum-dispatched hasher: the same contract as [`KernelHasher`], chosen
+/// at runtime by [`HashAlgorithm`] without an allocation or a vtable
+/// indirection. Every hot path (scan-window digesting, integrity rounds)
+/// uses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HasherKind {
     /// Bernstein's djb2 — the paper's choice.
@@ -405,7 +394,7 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         for alg in HashAlgorithm::ALL {
-            let mut h = alg.new_hasher();
+            let mut h = alg.kind();
             h.update(b"garbage");
             h.reset();
             h.update(b"x");
@@ -498,17 +487,14 @@ mod tests {
         }
     }
 
-    /// Boxed trait-object dispatch and enum dispatch agree (they share the
-    /// concrete hashers, but the boxed path must not drift).
+    /// The enum-dispatched hasher reports the algorithm it was built for
+    /// and resets to that algorithm's initial state.
     #[test]
-    fn kind_matches_boxed_hasher() {
+    fn kind_reports_its_algorithm_and_resets() {
         let input = b"secure-world scan window";
         for alg in HashAlgorithm::ALL {
-            let mut boxed = alg.new_hasher();
-            boxed.update(input);
             let mut kind = alg.kind();
             kind.update(input);
-            assert_eq!(boxed.finish(), kind.finish(), "{alg}");
             assert_eq!(kind.algorithm(), alg);
             kind.reset();
             kind.update(b"x");
@@ -525,7 +511,7 @@ mod tests {
         ) {
             let split = split.min(data.len());
             for alg in HashAlgorithm::ALL {
-                let mut h = alg.new_hasher();
+                let mut h = alg.kind();
                 h.update(&data[..split]);
                 h.update(&data[split..]);
                 prop_assert_eq!(h.finish(), hash_bytes(alg, &data));

@@ -1,14 +1,14 @@
 //! A dependency-free JSON reader.
 //!
 //! The workspace hand-rolls all JSON *writers* (telemetry exporters,
-//! `--metrics-json`, `BENCH_*.json`, the event stream, the result store);
+//! `--metrics-json`, the event stream, the result store);
 //! pulling in serde to read them back is off the table (no new
 //! dependencies). This is a small recursive-descent parser, enough for the
 //! machine-written documents we consume: objects, arrays, strings with the
-//! common escapes, numbers, booleans, null. It reads the trajectory
-//! snapshots, and it is also the campaign daemon's wire reader (every
-//! request and reply line) and the result store's replay reader (every
-//! segment line at open), so it is built for untrusted input:
+//! common escapes, numbers, booleans, null. It is the campaign daemon's
+//! wire reader (every request and reply line) and the result store's
+//! replay reader (every segment line at open), so it is built for
+//! untrusted input:
 //!
 //! - **Linear time.** A string is consumed one run at a time: each run of
 //!   bytes up to the next `"` or `\` is copied as one validated slice.
@@ -65,14 +65,6 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a float, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -336,28 +328,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_bench_snapshot_shape() {
+    fn parses_nested_document_shape() {
         let doc = r#"{
-            "id": "BENCH_0006", "schema": 1, "quick": false,
-            "entries": [
-                {"group": "queue", "name": "wheel_churn", "ns_per_unit": 79.28}
+            "id": "juno-r1", "v": 1, "quick": false,
+            "cells": [
+                {"seed": 42, "name": "detection", "mean_ms": 79.28}
             ],
-            "seeds_per_sec": {"speedup": 17.73}
+            "summary": {"ratio": 17.73}
         }"#;
         let v = Json::parse(doc).expect("parse");
-        assert_eq!(v.get("id").and_then(Json::as_str), Some("BENCH_0006"));
-        assert_eq!(v.get("schema").and_then(Json::as_u64), Some(1));
+        assert_eq!(v.get("id").and_then(Json::as_str), Some("juno-r1"));
+        assert_eq!(v.get("v").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("quick").and_then(Json::as_bool), Some(false));
-        let entries = v.get("entries").and_then(Json::as_array).expect("entries");
+        let cells = v.get("cells").and_then(Json::as_array).expect("cells");
+        assert_eq!(cells[0].get("mean_ms"), Some(&Json::Num(79.28)));
         assert_eq!(
-            entries[0].get("ns_per_unit").and_then(Json::as_f64),
-            Some(79.28)
-        );
-        assert_eq!(
-            v.get("seeds_per_sec")
-                .and_then(|s| s.get("speedup"))
-                .and_then(Json::as_f64),
-            Some(17.73)
+            v.get("summary").and_then(|s| s.get("ratio")),
+            Some(&Json::Num(17.73))
         );
     }
 

@@ -23,20 +23,16 @@
 //! field never share a struct. [`ObsEvent`] is all sim-domain;
 //! [`LiveEvent`], [`PhaseTimer`] and [`HostReport`] are all host-domain.
 //!
-//! The crate also carries the **bench trajectory** tooling: a dependency-free
-//! [`json`] parser, a [`trajectory`] module that reads every committed
-//! `BENCH_*.json` snapshot, renders per-group deltas between consecutive
-//! snapshots, and gates CI on a >20% seeds/sec-model regression.
+//! The crate also carries a dependency-free [`json`] reader: the campaign
+//! daemon's wire format and the result store's replay reader.
 
 pub mod event;
 pub mod host;
 pub mod json;
 pub mod progress;
 pub mod stream;
-pub mod trajectory;
 
 pub use event::{ObsEvent, EVENT_SCHEMA_VERSION};
 pub use host::{HostClock, HostReport, PhaseTimer};
 pub use progress::ProgressRenderer;
 pub use stream::{CampaignObs, CellEvents, EventStream, LiveEvent, LiveSink};
-pub use trajectory::{GateVerdict, Trajectory, TrajectoryPoint};

@@ -12,7 +12,7 @@
 //! - [`BaselineHeapQueue`] — the original `BinaryHeap` implementation, kept
 //!   as the executable reference model. The property tests drive both with
 //!   the same program and assert identical `(time, seq, payload)` pop
-//!   sequences, and the criterion suite benches one against the other.
+//!   sequences.
 //!
 //! Because every entry carries a unique `(time, seq)` key, the pop order is
 //! a *total* order — any correct implementation produces byte-identical
@@ -296,9 +296,8 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 }
 
 /// The original `BinaryHeap`-backed queue, retained as the executable
-/// reference model for [`EventQueue`] and as the baseline side of the
-/// queue microbenchmarks. Same contract, same API (except `peek_time`,
-/// which stays `&self` here).
+/// reference model for [`EventQueue`]. Same contract, same API (except
+/// `peek_time`, which stays `&self` here).
 #[derive(Default)]
 pub struct BaselineHeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
