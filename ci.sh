@@ -78,6 +78,9 @@ echo "== scenario smoke =="
 # The juno-r1 descriptor is a pure re-description of the built-in Juno
 # constants: selecting it must be byte-identical to the default run.
 ./target/release/repro --seed 42 > "$DEFAULT_OUT"
+# The whole quick run is pinned: every experiment's rows, byte for byte.
+cmp "$DEFAULT_OUT" crates/bench/tests/golden/repro_seed_42.snap
+echo "default run == repro_seed_42.snap (byte-identical)"
 ./target/release/repro --scenario juno-r1 --seed 42 > "$SCENARIO_OUT"
 cmp "$DEFAULT_OUT" "$SCENARIO_OUT"
 echo "juno-r1 descriptor == default run (byte-identical)"

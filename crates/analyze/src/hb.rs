@@ -392,11 +392,6 @@ impl AnalyzeHandle {
     pub fn report(&self) -> RaceReport {
         self.state.borrow().report()
     }
-
-    /// Violations detected so far (without cloning the mark log).
-    pub fn violation_count(&self) -> usize {
-        self.state.borrow().violations.len()
-    }
 }
 
 impl SimObserver<SysEvent> for AnalyzeProbe {

@@ -7,15 +7,16 @@
 //! - **Core affinity** (§IV-B2 / §V-D): fixed-core introspection is easier
 //!   to probe than random-core.
 
+use crate::detection::Cell;
 use satin_attack::prober::{probing_threshold_campaign, ProbeTargets};
 use satin_attack::race::RaceParams;
 use satin_attack::{TzEvader, TzEvaderConfig};
 use satin_core::baseline::{BaselineConfig, NaiveIntrospection};
 use satin_core::satin::AreaPolicy;
-use satin_core::{Satin, SatinConfig};
+use satin_core::SatinConfig;
 use satin_hw::CoreId;
 use satin_sim::{SimDuration, SimTime};
-use satin_system::SystemBuilder;
+use satin_system::{System, SystemBuilder};
 
 /// Outcome of pitting one defense against TZ-Evader.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,47 +71,60 @@ pub fn baseline_vs_evader(
 }
 
 /// Pits SATIN (optionally with a custom area policy / wake policy) against
-/// TZ-Evader. `tgoal` is scaled down from the paper's 152 s for tractable
-/// sweeps; the race inside a round is unaffected by `tgoal`.
+/// TZ-Evader on the paper platform. `tgoal` is scaled down from the paper's
+/// 152 s for tractable sweeps; the race inside a round is unaffected by
+/// `tgoal`.
 pub fn satin_vs_evader(
-    mut satin_cfg: SatinConfig,
+    satin_cfg: SatinConfig,
     label: &str,
     rounds: usize,
     tgoal: SimDuration,
     seed: u64,
 ) -> DefenseOutcome {
+    let sys = SystemBuilder::new().seed(seed).trace(false).build();
+    satin_vs_evader_on(
+        sys,
+        satin_cfg,
+        TzEvaderConfig::paper_default(),
+        label.to_string(),
+        rounds,
+        tgoal,
+    )
+}
+
+/// [`satin_vs_evader`] on an already-built system: counts the rounds that
+/// checked GETTID's area while the hijack was live at fire time, and how
+/// many of them detected it.
+fn satin_vs_evader_on(
+    sys: System,
+    mut satin_cfg: SatinConfig,
+    evader_cfg: TzEvaderConfig,
+    defense: String,
+    rounds: usize,
+    tgoal: SimDuration,
+) -> DefenseOutcome {
     satin_cfg.tgoal = tgoal;
-    let mut sys = SystemBuilder::new().seed(seed).trace(false).build();
-    let (satin, handle) = Satin::new(satin_cfg);
-    let plan = satin
-        .config()
-        .build_plan(&satin_mem::KernelLayout::paper())
-        .expect("plan");
-    sys.install_secure_service(satin);
-    let evader = TzEvader::deploy(&mut sys, TzEvaderConfig::paper_default());
-    let hard_stop = SimTime::ZERO + tgoal * 40;
-    while handle.round_count() < rounds && sys.now() < hard_stop {
-        sys.run_for(tgoal / 19);
-    }
-    // Identify rounds covering the syscall entry under the active hijack.
-    let gettid = satin_mem::KernelLayout::paper().syscall_entry_addr(satin_mem::layout::GETTID_NR);
-    let target_area = plan.area_of(gettid).expect("gettid inside plan");
-    let mut attacked = 0;
-    let mut detected = 0;
-    for r in handle.rounds().iter().take(rounds) {
-        if r.area == target_area && evader.rootkit.was_active_at(r.fired) {
-            attacked += 1;
-            if r.tampered {
-                detected += 1;
-            }
-        }
-    }
-    let uptime = evader.rootkit.active_time(sys.now()).as_secs_f64() / sys.now().as_secs_f64();
+    let layout = satin_mem::KernelLayout::paper();
+    let plan = satin_cfg.build_plan(&layout).expect("plan");
+    let target_area = plan
+        .area_of(layout.syscall_entry_addr(satin_mem::layout::GETTID_NR))
+        .expect("gettid inside plan");
+    let mut cell = Cell::new(sys, satin_cfg, evader_cfg).expect("SATIN boots");
+    cell.run_rounds(rounds, tgoal).expect("no faults are armed");
+    let attacked: Vec<_> = cell
+        .handle
+        .rounds()
+        .iter()
+        .take(rounds)
+        .filter(|r| r.area == target_area && cell.evader.rootkit.was_active_at(r.fired))
+        .map(|r| r.tampered)
+        .collect();
+    let now = cell.sys.now();
     DefenseOutcome {
-        defense: label.to_string(),
-        attacked_rounds: attacked,
-        detections: detected,
-        attack_uptime: uptime,
+        defense,
+        attacked_rounds: attacked.len() as u64,
+        detections: attacked.iter().filter(|&&t| t).count() as u64,
+        attack_uptime: cell.evader.rootkit.active_time(now).as_secs_f64() / now.as_secs_f64(),
     }
 }
 
@@ -185,10 +199,16 @@ pub fn preemption_ablation(
     seed: u64,
 ) -> (DefenseOutcome, DefenseOutcome) {
     let run = |preemptive: bool, seed: u64| {
-        let routing = if preemptive {
-            satin_hw::gic::RoutingConfig::preemptive()
+        let (routing, defense) = if preemptive {
+            (
+                satin_hw::gic::RoutingConfig::preemptive(),
+                format!("preemptive secure world (irq load {interrupt_load})"),
+            )
         } else {
-            satin_hw::gic::RoutingConfig::satin()
+            (
+                satin_hw::gic::RoutingConfig::satin(),
+                "non-preemptive (SATIN's SCR_EL3.IRQ=0)".to_string(),
+            )
         };
         let platform = satin_hw::Platform::new(
             satin_hw::Topology::juno_r1(),
@@ -201,43 +221,14 @@ pub fn preemption_ablation(
             .trace(false)
             .build();
         sys.set_ns_interrupt_load(interrupt_load);
-        let mut cfg = SatinConfig::paper();
-        cfg.tgoal = tgoal;
-        let (satin, handle) = Satin::new(cfg);
-        let plan = satin
-            .config()
-            .build_plan(&satin_mem::KernelLayout::paper())
-            .expect("plan");
-        sys.install_secure_service(satin);
-        let evader = TzEvader::deploy(&mut sys, TzEvaderConfig::paper_default());
-        let hard_stop = SimTime::ZERO + tgoal * 40;
-        while handle.round_count() < rounds && sys.now() < hard_stop {
-            sys.run_for(tgoal / 19);
-        }
-        let gettid =
-            satin_mem::KernelLayout::paper().syscall_entry_addr(satin_mem::layout::GETTID_NR);
-        let target_area = plan.area_of(gettid).expect("gettid inside plan");
-        let mut attacked = 0;
-        let mut detected = 0;
-        for r in handle.rounds().iter().take(rounds) {
-            if r.area == target_area && evader.rootkit.was_active_at(r.fired) {
-                attacked += 1;
-                if r.tampered {
-                    detected += 1;
-                }
-            }
-        }
-        let uptime = evader.rootkit.active_time(sys.now()).as_secs_f64() / sys.now().as_secs_f64();
-        DefenseOutcome {
-            defense: if preemptive {
-                format!("preemptive secure world (irq load {interrupt_load})")
-            } else {
-                "non-preemptive (SATIN's SCR_EL3.IRQ=0)".to_string()
-            },
-            attacked_rounds: attacked,
-            detections: detected,
-            attack_uptime: uptime,
-        }
+        satin_vs_evader_on(
+            sys,
+            SatinConfig::paper(),
+            TzEvaderConfig::paper_default(),
+            defense,
+            rounds,
+            tgoal,
+        )
     };
     (run(false, seed), run(true, seed.wrapping_add(1)))
 }
@@ -259,50 +250,22 @@ pub fn core_count_sweep(
                 satin_hw::TimingModel::paper_calibrated(),
                 satin_hw::gic::RoutingConfig::satin(),
             );
-            let mut sys = SystemBuilder::new()
+            let sys = SystemBuilder::new()
                 .seed(seed.wrapping_add(n as u64))
                 .platform(platform)
                 .trace(false)
                 .build();
-            let mut cfg = SatinConfig::paper();
-            cfg.tgoal = tgoal;
-            let (satin, handle) = Satin::new(cfg);
-            let plan = satin
-                .config()
-                .build_plan(&satin_mem::KernelLayout::paper())
-                .expect("plan");
-            sys.install_secure_service(satin);
             let mut evader_cfg = TzEvaderConfig::paper_default();
             evader_cfg.recovery_core = CoreId::new(n - 1);
-            let evader = TzEvader::deploy(&mut sys, evader_cfg);
-            let hard_stop = SimTime::ZERO + tgoal * 40;
-            while handle.round_count() < rounds && sys.now() < hard_stop {
-                sys.run_for(tgoal / 19);
-            }
-            let gettid =
-                satin_mem::KernelLayout::paper().syscall_entry_addr(satin_mem::layout::GETTID_NR);
-            let target_area = plan.area_of(gettid).expect("gettid inside plan");
-            let mut attacked = 0;
-            let mut detected = 0;
-            for r in handle.rounds().iter().take(rounds) {
-                if r.area == target_area && evader.rootkit.was_active_at(r.fired) {
-                    attacked += 1;
-                    if r.tampered {
-                        detected += 1;
-                    }
-                }
-            }
-            let uptime =
-                evader.rootkit.active_time(sys.now()).as_secs_f64() / sys.now().as_secs_f64();
-            (
-                n,
-                DefenseOutcome {
-                    defense: format!("satin on {n}x A53"),
-                    attacked_rounds: attacked,
-                    detections: detected,
-                    attack_uptime: uptime,
-                },
-            )
+            let out = satin_vs_evader_on(
+                sys,
+                SatinConfig::paper(),
+                evader_cfg,
+                format!("satin on {n}x A53"),
+                rounds,
+                tgoal,
+            );
+            (n, out)
         })
         .collect()
 }
@@ -323,16 +286,11 @@ pub fn kprober_trace_detection(
 ) -> (u64, u64) {
     let mut cfg = SatinConfig::paper();
     cfg.tgoal = tgoal;
-    let mut sys = SystemBuilder::new().seed(seed).trace(false).build();
-    let (satin, handle) = Satin::new(cfg);
-    sys.install_secure_service(satin);
+    let sys = SystemBuilder::new().seed(seed).trace(false).build();
     let mut evader_cfg = TzEvaderConfig::paper_default();
     evader_cfg.prober = variant;
-    let _evader = TzEvader::deploy(&mut sys, evader_cfg);
-    let hard_stop = SimTime::ZERO + tgoal * 40;
-    while handle.round_count() < rounds && sys.now() < hard_stop {
-        sys.run_for(tgoal / 19);
-    }
+    let mut cell = Cell::new(sys, cfg, evader_cfg).expect("SATIN boots");
+    cell.run_rounds(rounds, tgoal).expect("no faults are armed");
     let layout = satin_mem::KernelLayout::paper();
     let vector_area = layout
         .vector_table()
@@ -340,7 +298,7 @@ pub fn kprober_trace_detection(
         .expect("paper layout has a vector table");
     let mut vec_alarms = 0;
     let mut sys_alarms = 0;
-    for r in handle.rounds().iter().take(rounds) {
+    for r in cell.handle.rounds().iter().take(rounds) {
         if r.tampered {
             if r.area == vector_area {
                 vec_alarms += 1;

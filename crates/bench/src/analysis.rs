@@ -10,13 +10,11 @@
 //! violation, on the offending core's track) so an exported race timeline
 //! shows *where* the causal order broke.
 
-use crate::detection::{self, DetectionConfig, DetectionResult};
-use crate::runner::{CampaignRunner, MetricsReport};
+use crate::detection::{self, Cell, DetectionConfig, DetectionResult};
 use satin_analyze::{attach, audit, InvariantReport, RaceReport};
 use satin_attack::race::RaceParams;
-use satin_attack::{TzEvader, TzEvaderConfig};
-use satin_core::{Satin, SatinConfig};
-use satin_sim::SimTime;
+use satin_attack::TzEvaderConfig;
+use satin_core::SatinConfig;
 use satin_system::SystemBuilder;
 use satin_telemetry::TrackId;
 
@@ -59,8 +57,9 @@ impl AnalysisRun {
 }
 
 /// Runs the detection campaign with the race detector attached, then audits
-/// the mark log. Mirrors [`detection::run`] exactly — same seed, same
-/// schedule, same summary — with the probe observing from the side.
+/// the mark log. Mirrors [`detection::try_run_scenario`] on the paper
+/// scenario exactly — same seed, same schedule, same summary — with the
+/// probe observing from the side.
 pub fn analyze_campaign(config: DetectionConfig) -> AnalysisRun {
     let mut satin_cfg = SatinConfig::paper();
     satin_cfg.tgoal = config.tgoal;
@@ -70,40 +69,29 @@ pub fn analyze_campaign(config: DetectionConfig) -> AnalysisRun {
         .telemetry(config.telemetry)
         .build();
     let analyze = attach(&mut sys);
-    let (satin, handle) = Satin::new(satin_cfg);
-    sys.install_secure_service(satin);
-    let evader = TzEvader::deploy(&mut sys, TzEvaderConfig::paper_default());
-
-    let slice = config.tgoal / 19; // one tp
-    let hard_stop = SimTime::ZERO + config.tgoal * 40; // safety net
-    while handle.round_count() < config.rounds && sys.now() < hard_stop {
-        sys.run_for(slice);
-    }
+    let mut cell = Cell::new(sys, satin_cfg, TzEvaderConfig::paper_default()).expect("SATIN boots");
+    cell.run_rounds(config.rounds, config.tgoal)
+        .expect("no faults are armed");
 
     let race = analyze.report();
     // Surface each violation on the telemetry timeline, on the offending
     // core's track, so exported race timelines carry the finding in-place.
     for v in &race.violations {
         let detail = v.to_string();
-        sys.telemetry_mut()
-            .instant("analysis.violation", TrackId(v.core as u32), v.at, detail);
+        cell.sys.telemetry_mut().instant(
+            "analysis.violation",
+            TrackId(v.core as u32),
+            v.at,
+            detail,
+        );
     }
-    let metrics = MetricsReport::capture(&sys);
-    let detection = detection::summarize(&handle, &evader, config, sys.now(), metrics);
+    let detection = detection::summarize(&cell, config);
     let invariants = audit(&race.marks, &RaceParams::paper_worst_case());
     AnalysisRun {
         detection,
         race,
         invariants,
     }
-}
-
-/// Runs one analyzed campaign per seed through `runner`, in seed order
-/// (identical for any worker count — campaigns share no state).
-pub fn run_many(base: DetectionConfig, seeds: &[u64], runner: &CampaignRunner) -> Vec<AnalysisRun> {
-    runner.run_seeds(seeds, |seed| {
-        analyze_campaign(DetectionConfig { seed, ..base })
-    })
 }
 
 #[cfg(test)]
@@ -130,22 +118,17 @@ mod tests {
         );
     }
 
-    fn small(seed: u64) -> DetectionConfig {
-        DetectionConfig {
-            rounds: 19,
-            tgoal: satin_sim::SimDuration::from_millis(9_500),
-            seed,
-            trace: false,
-            telemetry: false,
-        }
-    }
-
     #[test]
     fn probe_does_not_perturb_the_campaign() {
         // The analyzed run's detection summary is bit-identical to the
         // unanalyzed run's: the probe is a pure observer.
-        let plain = detection::run(small(7));
-        let analyzed = analyze_campaign(small(7));
+        let plain = detection::try_run_scenario(
+            &satin_scenario::Scenario::paper(),
+            DetectionConfig::sweep(7),
+            1,
+        )
+        .expect("clean campaign");
+        let analyzed = analyze_campaign(DetectionConfig::sweep(7));
         assert_eq!(plain, analyzed.detection);
     }
 
@@ -153,19 +136,9 @@ mod tests {
     fn violations_land_on_the_telemetry_timeline() {
         // With telemetry on and a clean run, no analysis.violation instants;
         // the mechanism itself is covered by the analyze crate's unit tests.
-        let mut config = small(1);
+        let mut config = DetectionConfig::sweep(1);
         config.telemetry = true;
         let run = analyze_campaign(config);
         assert!(run.is_clean());
-    }
-
-    #[test]
-    fn run_many_is_job_count_invariant() {
-        let base = small(0);
-        let seeds = [5u64, 6];
-        let serial = run_many(base, &seeds, &CampaignRunner::serial());
-        let parallel = run_many(base, &seeds, &CampaignRunner::new(2));
-        assert_eq!(serial, parallel);
-        assert!(serial.iter().all(AnalysisRun::is_clean));
     }
 }

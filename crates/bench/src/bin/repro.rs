@@ -5,12 +5,11 @@
 //!       [--trace-out FILE] [--metrics-json FILE] [experiment ...]
 //! ```
 //!
-//! Experiments, in `all`'s run order: `table1 switch recover table2 fig4
-//! affinity race detection fig7 baseline areasweep userprober preemption
-//! portability threshold predictor remediation kprobertrace telemetry
-//! analysis`; by name only: `grid faults`; then `all`
-//! (the default) and the service commands `serve submit ping shutdown`.
-//! Any other word is an error (exit 2). `--full` runs
+//! `repro --help` lists the experiments in run order (the `EXPERIMENTS`
+//! table below is the one list); `grid` and `faults` run only by name, the
+//! rest also under `all` (the default). The service commands `serve submit
+//! ping shutdown` replace the experiments when given. Any other word is an
+//! error (exit 2). `--full` runs
 //! paper-scale round counts (slow: several minutes of simulation); the
 //! default is a quick mode that preserves every shape. `--jobs N` fans
 //! independent campaigns across N worker threads (0 = one per hardware
@@ -55,49 +54,70 @@
 //! `shutdown` round out the client. Submit's stdout is exactly the job
 //! report, so warm and cold runs can be `cmp`-ed.
 
+use satin_bench::detection::{self, DetectionConfig, DetectionResult};
 use satin_bench::{
-    ablation, detection, fig7, race, recover, switch, table1, table2, threshold_sweep, userprober,
-    CampaignRunner, MetricsReport, ScenarioGrid, DEFAULT_SEED,
+    ablation, fig7, race, recover, switch, table1, table2, threshold_sweep, userprober,
+    CampaignRunner, ScenarioGrid, SeedOutcome, DEFAULT_SEED,
 };
 use satin_obs::{CampaignObs, EventStream, ObsEvent, PhaseTimer, ProgressRenderer};
 use satin_scenario::{FaultPlan, Scenario};
-use satin_serve::CellRecord;
 use satin_sim::SimDuration;
 use satin_stats::table::{Align, Table};
 use satin_stats::{chart, fmt_percent, fmt_sci, FiveNumber};
 
-/// Every word `repro` accepts in place of a flag: the experiments (in
-/// `all`'s run order, then those that run only by name), `all`, and the
-/// campaign-service commands. Anything else is rejected by `parse_args`.
-const EXPERIMENTS: [&str; 27] = [
-    "table1",
-    "switch",
-    "recover",
-    "table2",
-    "fig4",
-    "affinity",
-    "race",
-    "detection",
-    "fig7",
-    "baseline",
-    "areasweep",
-    "userprober",
-    "preemption",
-    "portability",
-    "threshold",
-    "predictor",
-    "remediation",
-    "kprobertrace",
-    "telemetry",
-    "analysis",
-    "grid",
-    "faults",
-    "all",
-    "serve",
-    "submit",
-    "ping",
-    "shutdown",
+/// What the experiments hand back to `main`.
+#[derive(Default)]
+struct Run {
+    /// Canonical campaign events of the observed experiments (faults,
+    /// telemetry), written as one JSONL stream at exit. Merging at the end
+    /// keeps sequence numbers gapless across campaigns.
+    events: Vec<ObsEvent>,
+    /// A gate failed: the process exits nonzero after the last experiment.
+    failed: bool,
+}
+
+type Experiment = fn(&Opts, &mut Run);
+
+/// Every experiment, in run order: the words that select it, whether `all`
+/// includes it, and its body. `grid` is a cross-scenario sweep and `faults`
+/// a fault campaign, not paper artifacts, so `all` skips them.
+const EXPERIMENTS: [(&[&str], bool, Experiment); 21] = [
+    (&["table1"], true, |o, _| run_table1(o)),
+    (&["switch"], true, |o, _| run_switch(o)),
+    (&["recover"], true, |o, _| run_recover(o)),
+    (&["table2", "fig4"], true, |o, _| run_table2_fig4(o)),
+    (&["affinity"], true, |o, _| run_affinity(o)),
+    (&["race"], true, |o, _| run_race(o)),
+    (&["detection"], true, run_detection),
+    (&["fig7"], true, |o, _| run_fig7(o)),
+    (&["baseline"], true, |o, _| run_baseline(o)),
+    (&["areasweep"], true, |o, _| run_areasweep(o)),
+    (&["userprober"], true, |o, _| run_userprober(o)),
+    (&["preemption"], true, |o, _| run_preemption(o)),
+    (&["portability"], true, |o, _| run_portability(o)),
+    (&["threshold"], true, |o, _| run_threshold(o)),
+    (&["predictor"], true, |o, _| run_predictor(o)),
+    (&["remediation"], true, |o, _| run_remediation(o)),
+    (&["kprobertrace"], true, |o, _| run_kprober_trace(o)),
+    (&["telemetry"], true, run_telemetry),
+    (&["grid"], false, |o, _| run_grid(o)),
+    (&["faults"], false, run_faults),
+    (&["analysis"], true, run_analysis),
 ];
+
+/// The campaign-service commands; they replace the experiments when given.
+const SERVICE_COMMANDS: [&str; 4] = ["serve", "submit", "ping", "shutdown"];
+
+/// Every word `repro` accepts in place of a flag: the experiments, `all`,
+/// and the campaign-service commands. Anything else is rejected by
+/// `parse_args`.
+fn words() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS
+        .iter()
+        .flat_map(|(names, _, _)| names.iter().copied())
+        .chain(["all"])
+        .chain(SERVICE_COMMANDS)
+}
 
 /// Capacity of the live event channel behind `--progress`. Overflow drops
 /// progress frames (counted), never canonical events.
@@ -108,7 +128,6 @@ struct Opts {
     seed: u64,
     jobs: usize,
     metrics: bool,
-    analyze: bool,
     /// Render a live progress line (stderr) for observed campaigns.
     progress: bool,
     trace_out: Option<String>,
@@ -137,6 +156,15 @@ struct Opts {
 impl Opts {
     fn runner(&self) -> CampaignRunner {
         CampaignRunner::new(self.jobs)
+    }
+
+    /// The detection campaign's base config at this run's scale.
+    fn base(&self) -> DetectionConfig {
+        if self.full {
+            DetectionConfig::paper(self.seed)
+        } else {
+            DetectionConfig::quick(self.seed)
+        }
     }
 }
 
@@ -287,25 +315,26 @@ fn parse_args() -> Opts {
                      [--trace-out FILE] [--metrics-json FILE] [--events-out FILE] \
                      [--socket PATH] [--store PATH] [--seeds N,N,...] [EXPERIMENT ...]\n\
                      experiments: {}",
-                    EXPERIMENTS.join(" ")
+                    words().collect::<Vec<_>>().join(" ")
                 );
                 std::process::exit(0);
             }
-            other if EXPERIMENTS.contains(&other) => experiments.push(other.to_string()),
+            other if words().any(|w| w == other) => experiments.push(other.to_string()),
             other if !other.starts_with('-') => {
                 die(&format!("unknown experiment {other:?} (see --help)"))
             }
             other => die(&format!("unknown flag {other}")),
         }
     }
+    if analyze {
+        // --analyze adds the analysis gate to whatever else runs.
+        experiments.push("analysis".to_string());
+    }
     if experiments.is_empty() {
         // Bare --trace-out/--metrics-json means "give me the telemetry
-        // artifacts", not "run everything"; bare --analyze likewise means
-        // "run the analysis gate", and bare --faults means "run the fault
-        // campaign".
-        if analyze {
-            experiments.push("analysis".to_string());
-        } else if trace_out.is_some() || metrics_json.is_some() {
+        // artifacts", not "run everything"; bare --faults likewise means
+        // "run the fault campaign".
+        if trace_out.is_some() || metrics_json.is_some() {
             experiments.push("telemetry".to_string());
         } else if faults.is_some() || events_out.is_some() {
             // Bare --events-out means "give me the campaign event stream";
@@ -328,7 +357,6 @@ fn parse_args() -> Opts {
         seed,
         jobs,
         metrics,
-        analyze,
         progress,
         trace_out,
         metrics_json,
@@ -351,20 +379,15 @@ fn die(msg: &str) -> ! {
 
 fn main() {
     let opts = parse_args();
-    // The campaign-service commands replace the experiment cascade — and
-    // skip the banner: `repro submit`'s stdout is exactly the job report,
-    // so warm and cold replies can be byte-compared.
-    if let Some(cmd) = ["serve", "submit", "ping", "shutdown"]
+    // The campaign-service commands replace the experiments — and skip the
+    // banner: `repro submit`'s stdout is exactly the job report, so warm
+    // and cold replies can be byte-compared.
+    if let Some(cmd) = SERVICE_COMMANDS
         .into_iter()
         .find(|c| opts.experiments.iter().any(|e| e == c))
     {
         std::process::exit(run_service(&opts, cmd));
     }
-    let want = |name: &str| opts.experiments.iter().any(|e| e == name || e == "all");
-    // Canonical campaign events accumulated by the observed experiments
-    // (faults, telemetry), written as one JSONL stream at exit. Merging at
-    // the end keeps sequence numbers gapless across campaigns.
-    let mut events: Vec<ObsEvent> = Vec::new();
     println!(
         "SATIN reproduction — seed {} — {} mode — {} worker(s)\n",
         opts.seed,
@@ -375,71 +398,16 @@ fn main() {
         },
         opts.runner().jobs()
     );
-    if want("table1") {
-        run_table1(&opts);
-    }
-    if want("switch") {
-        run_switch(&opts);
-    }
-    if want("recover") {
-        run_recover(&opts);
-    }
-    if want("table2") || want("fig4") {
-        run_table2_fig4(&opts);
-    }
-    if want("affinity") {
-        run_affinity(&opts);
-    }
-    if want("race") {
-        run_race(&opts);
-    }
-    if want("detection") {
-        run_detection(&opts, &mut events);
-    }
-    if want("fig7") {
-        run_fig7(&opts);
-    }
-    if want("baseline") {
-        run_baseline(&opts);
-    }
-    if want("areasweep") {
-        run_areasweep(&opts);
-    }
-    if want("userprober") {
-        run_userprober(&opts);
-    }
-    if want("preemption") {
-        run_preemption(&opts);
-    }
-    if want("portability") {
-        run_portability(&opts);
-    }
-    if want("threshold") {
-        run_threshold(&opts);
-    }
-    if want("predictor") {
-        run_predictor(&opts);
-    }
-    if want("remediation") {
-        run_remediation(&opts);
-    }
-    if want("kprobertrace") {
-        run_kprober_trace(&opts);
-    }
-    if want("telemetry") {
-        run_telemetry(&opts, &mut events);
-    }
-    // Grid is a cross-scenario sweep, not a paper artifact, so `all` skips
-    // it — ask for it by name. Same for the fault campaign.
-    if opts.experiments.iter().any(|e| e == "grid") {
-        run_grid(&opts);
-    }
-    if opts.experiments.iter().any(|e| e == "faults") {
-        run_faults(&opts, &mut events);
+    let all = opts.experiments.iter().any(|e| e == "all");
+    let mut run = Run::default();
+    for (names, in_all, experiment) in EXPERIMENTS {
+        if (in_all && all) || opts.experiments.iter().any(|e| names.contains(&e.as_str())) {
+            experiment(&opts, &mut run);
+        }
     }
     if let Some(path) = &opts.events_out {
         let mut stream = EventStream::new();
-        for e in events {
+        for e in run.events {
             stream.push(e);
         }
         std::fs::write(path, stream.to_jsonl())
@@ -448,7 +416,7 @@ fn main() {
         // the only host-facing confirmation.
         eprintln!("wrote {} campaign events to {path}", stream.len());
     }
-    if (want("analysis") || opts.analyze) && !run_analysis(&opts) {
+    if run.failed {
         std::process::exit(1);
     }
 }
@@ -468,13 +436,8 @@ fn run_grid(o: &Opts) {
         }
     }
     if !o.full {
-        // Quick mode shrinks every campaign to one sweep of the 19 areas
-        // over 2 seeds; --full honours each scenario's declared shape.
-        for sc in &mut grid.scenarios {
-            sc.campaign.rounds = 19;
-            sc.campaign.tgoal = SimDuration::from_millis(9_500);
-            sc.campaign.seeds = 2;
-        }
+        // --full honours each scenario's declared shape.
+        grid = grid.quick();
     }
     let campaigns: usize = grid.scenarios.iter().map(|s| s.campaign.seeds).sum();
     println!(
@@ -514,8 +477,8 @@ fn run_service(o: &Opts, cmd: &str) -> i32 {
     }
 }
 
-/// `repro serve`: the job daemon. The backend closure folds each missing
-/// seed through the salvaging campaign runner, exactly like the `faults`
+/// `repro serve`: the job daemon. Its backend folds each missing seed
+/// through the salvaging campaign runner, exactly like the `faults`
 /// experiment — the campaign shape (rounds, tgoal) comes from the submitted
 /// scenario itself, so it is part of the cell's content address.
 fn run_serve(o: &Opts, socket: &std::path::Path) -> Result<(), String> {
@@ -525,17 +488,7 @@ fn run_serve(o: &Opts, socket: &std::path::Path) -> Result<(), String> {
         .unwrap_or_else(|| die("`serve` needs --store PATH"));
     let runner = o.runner();
     satin_serve::serve(socket, std::path::Path::new(store), |sc, seeds| {
-        let base = detection::DetectionConfig {
-            rounds: sc.campaign.rounds,
-            tgoal: sc.campaign.tgoal,
-            seed: 0, // per-cell seeds come from `seeds`
-            trace: false,
-            telemetry: false,
-        };
-        let obs = CampaignObs::new(&format!("serve/{}", sc.name));
-        let (outcomes, stream) =
-            detection::run_many_faulted_observed(sc, base, seeds, &runner, &obs);
-        (outcomes.iter().map(cell_record).collect(), stream)
+        detection::serve_cells(sc, seeds, &runner)
     })
 }
 
@@ -570,30 +523,38 @@ fn run_submit(o: &Opts, socket: &std::path::Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Shapes one salvaged campaign outcome into the store's cell record — the
-/// same fields the fault report renders.
-fn cell_record(out: &satin_bench::SeedOutcome<detection::DetectionResult>) -> CellRecord {
-    match out.value() {
-        Some(r) => CellRecord {
-            ok: true,
-            attempts: out.attempts(),
-            rounds: r.rounds as u64,
-            detections: r.area14_detections,
-            faults_injected: r.metrics.faults_injected(),
-            error: String::new(),
-        },
-        None => CellRecord {
-            ok: false,
-            attempts: out.attempts(),
-            rounds: 0,
-            detections: 0,
-            faults_injected: 0,
-            error: out.error().unwrap_or("campaign failed").to_string(),
-        },
+/// Runs the observed fan-out over `seeds` and adds its canonical events to
+/// `run`; with `--progress`, a live progress line renders on stderr.
+fn observed(
+    o: &Opts,
+    label: &str,
+    sc: &Scenario,
+    base: DetectionConfig,
+    seeds: &[u64],
+    run: &mut Run,
+) -> Vec<SeedOutcome<DetectionResult>> {
+    // Canonical events always; the live channel (worker ids, host times)
+    // only when someone is watching.
+    let (obs, renderer) = if o.progress {
+        let (obs, rx) = CampaignObs::with_live(label, LIVE_CHANNEL_CAPACITY);
+        (obs, Some(ProgressRenderer::spawn(rx, true)))
+    } else {
+        (CampaignObs::new(label), None)
+    };
+    let (outcomes, stream) =
+        detection::run_many_faulted_observed(sc, base, seeds, &o.runner(), &obs);
+    if let Some(renderer) = renderer {
+        // Capture the drop count, then drop the observer — closing the
+        // last live sender is what lets the drain thread exit.
+        let dropped = obs.live_dropped();
+        drop(obs);
+        eprint!("{}", renderer.finish(dropped).render());
     }
+    run.events.extend(stream.events().iter().cloned());
+    outcomes
 }
 
-fn run_faults(o: &Opts, events: &mut Vec<ObsEvent>) {
+fn run_faults(o: &Opts, run: &mut Run) {
     let mut timer = PhaseTimer::start();
     timer.phase("assemble");
     // The fault axis: the attached plan when `--faults` (or the scenario
@@ -611,11 +572,7 @@ fn run_faults(o: &Opts, events: &mut Vec<ObsEvent>) {
             })
             .collect()
     };
-    let base = if o.full {
-        detection::DetectionConfig::paper(o.seed)
-    } else {
-        detection::DetectionConfig::quick(o.seed)
-    };
+    let base = o.base();
     println!(
         "== Fault campaign: detection under injected faults ({} plan(s) x seeds {:?}) ==",
         plans.len(),
@@ -641,25 +598,7 @@ fn run_faults(o: &Opts, events: &mut Vec<ObsEvent>) {
         let mut sc = o.scenario.clone();
         sc.faults = *plan;
         let label = format!("faults/{name}");
-        // Canonical events always; the live channel (worker ids, host
-        // times) only when someone is watching.
-        let (obs, renderer) = if o.progress {
-            let (obs, rx) = CampaignObs::with_live(&label, LIVE_CHANNEL_CAPACITY);
-            (obs, Some(ProgressRenderer::spawn(rx, true)))
-        } else {
-            (CampaignObs::new(&label), None)
-        };
-        let (outcomes, stream) =
-            detection::run_many_faulted_observed(&sc, base, &FAULT_SEEDS, &o.runner(), &obs);
-        if let Some(renderer) = renderer {
-            // Capture the drop count, then drop the observer — closing the
-            // last live sender is what lets the drain thread exit.
-            let dropped = obs.live_dropped();
-            drop(obs);
-            eprint!("{}", renderer.finish(dropped).render());
-        }
-        events.extend(stream.events().iter().cloned());
-        for out in &outcomes {
+        for out in &observed(o, &label, &sc, base, &FAULT_SEEDS, run) {
             salvaged += out.is_failed() as usize;
             let (status, rounds, detected, faults) = match out.value() {
                 Some(r) => (
@@ -695,13 +634,9 @@ fn run_faults(o: &Opts, events: &mut Vec<ObsEvent>) {
     }
 }
 
-fn run_analysis(o: &Opts) -> bool {
+fn run_analysis(o: &Opts, r: &mut Run) {
     use satin_bench::analysis;
-    let base = if o.full {
-        detection::DetectionConfig::paper(o.seed)
-    } else {
-        detection::DetectionConfig::quick(o.seed)
-    };
+    let base = o.base();
     println!(
         "== Analysis: happens-before race detection + Eq.1/Eq.2 audit \
          ({} rounds, seed {}) ==",
@@ -709,16 +644,15 @@ fn run_analysis(o: &Opts) -> bool {
     );
     let run = analysis::analyze_campaign(base);
     print!("{}", run.render());
-    let dynamic_clean = run.is_clean();
-    if dynamic_clean {
+    if run.is_clean() {
         println!("analysis: CLEAN\n");
     } else {
         println!("analysis: FAILED\n");
+        r.failed = true;
     }
-    dynamic_clean
 }
 
-fn run_telemetry(o: &Opts, events: &mut Vec<ObsEvent>) {
+fn run_telemetry(o: &Opts, run: &mut Run) {
     use satin_bench::telemetry_report::{run_traced_race_scenario, TelemetryReport};
     println!("== Telemetry: span timelines and campaign histograms ==");
     let horizon = SimDuration::from_secs(if o.full { 30 } else { 8 });
@@ -738,30 +672,13 @@ fn run_telemetry(o: &Opts, events: &mut Vec<ObsEvent>) {
     }
     // Campaign aggregates: a small fleet through the shared runner, so the
     // merged report — and its JSON — is byte-identical for any --jobs.
-    let mut base = if o.full {
-        detection::DetectionConfig::paper(o.seed)
-    } else {
-        detection::DetectionConfig::quick(o.seed)
-    };
+    let mut base = o.base();
     base.telemetry = true;
     let seeds: Vec<u64> = (0..3).map(|i| o.seed.wrapping_add(i)).collect();
     // The fleet keeps the scenario's fault plan: failed seeds salvage as
     // retry/salvage counters instead of killing the merge, and the fault
     // counters surface in the JSON.
-    let (obs, renderer) = if o.progress {
-        let (obs, rx) = CampaignObs::with_live("telemetry", LIVE_CHANNEL_CAPACITY);
-        (obs, Some(ProgressRenderer::spawn(rx, true)))
-    } else {
-        (CampaignObs::new("telemetry"), None)
-    };
-    let (outcomes, stream) =
-        detection::run_many_faulted_observed(&o.scenario, base, &seeds, &o.runner(), &obs);
-    if let Some(renderer) = renderer {
-        let dropped = obs.live_dropped();
-        drop(obs);
-        eprint!("{}", renderer.finish(dropped).render());
-    }
-    events.extend(stream.events().iter().cloned());
+    let outcomes = observed(o, "telemetry", &o.scenario, base, &seeds, run);
     let report = TelemetryReport::of_salvaged(&outcomes, |r| &r.metrics);
     print!("{report}");
     if let Some(path) = &o.metrics_json {
@@ -1114,7 +1031,7 @@ fn run_table2_fig4(o: &Opts) {
     };
     println!("== TABLE II: Probing Threshold on Multi-Core ({rounds} rounds/period) ==");
     println!("   paper: 8s avg 2.61e-4; 16s 3.54e-4; 30s 4.21e-4; 120s 5.26e-4; 300s 6.61e-4; max ≈1.8e-3");
-    let rows = table2::run_with(periods, rounds, o.seed, &o.runner());
+    let rows = table2::run(periods, rounds, o.seed, &o.runner());
     let mut t = Table::new(vec![
         "Probing Period".into(),
         "Average".into(),
@@ -1182,17 +1099,13 @@ fn run_race(o: &Opts) {
     println!();
 }
 
-fn run_detection(o: &Opts, events: &mut Vec<ObsEvent>) {
+fn run_detection(o: &Opts, run: &mut Run) {
     if !o.scenario.faults.is_empty() {
-        // A fault plan can abort seeds mid-campaign; route through the
-        // salvaging runner so those surface as rows, not panics.
-        return run_faults(o, events);
+        // A fault plan can abort seeds mid-campaign; the fault report shows
+        // those as rows.
+        return run_faults(o, run);
     }
-    let mut base = if o.full {
-        detection::DetectionConfig::paper(o.seed)
-    } else {
-        detection::DetectionConfig::quick(o.seed)
-    };
+    let mut base = o.base();
     base.trace = o.metrics;
     // A small fleet of independent campaigns: the headline detection rate
     // comes from the aggregate, and the per-seed rows show its stability.
@@ -1206,7 +1119,21 @@ fn run_detection(o: &Opts, events: &mut Vec<ObsEvent>) {
     );
     println!("   paper: 190 rounds, kernel x10, area 14 caught 10/10, prober reports all rounds,");
     println!("          avg area-14 gap ≈141 s, sweep ≈152 s (at tp = 8 s)");
-    let results = detection::run_many_scenario(&o.scenario, base, &seeds, &o.runner());
+    // The empty plan: one attempt per seed. A failed seed (a boot error)
+    // ends the run, as the report has no row shape for it.
+    let obs = CampaignObs::new("detection");
+    let (outcomes, _) =
+        detection::run_many_faulted_observed(&o.scenario, base, &seeds, &o.runner(), &obs);
+    let results: Vec<DetectionResult> = outcomes
+        .into_iter()
+        .map(|out| match out {
+            SeedOutcome::Ok { value, .. } => value,
+            SeedOutcome::Failed { seed, error, .. } => {
+                eprintln!("repro: detection campaign failed on seed {seed}: {error}");
+                std::process::exit(1)
+            }
+        })
+        .collect();
     let mut t = Table::new(vec![
         "Seed".into(),
         "Rounds".into(),
@@ -1253,13 +1180,9 @@ fn run_detection(o: &Opts, events: &mut Vec<ObsEvent>) {
             "-- machine counters (summed over {} campaigns) --",
             agg.campaigns
         );
-        print_metrics(&agg.metrics);
+        print!("{}", agg.metrics);
     }
     println!();
-}
-
-fn print_metrics(m: &MetricsReport) {
-    print!("{m}");
 }
 
 fn run_fig7(o: &Opts) {

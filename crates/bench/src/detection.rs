@@ -23,8 +23,9 @@ use satin_core::{Satin, SatinConfig, SatinHandle};
 use satin_mem::PAPER_SYSCALL_AREA;
 use satin_obs::{CampaignObs, EventStream, ObsEvent};
 use satin_scenario::Scenario;
+use satin_serve::CellRecord;
 use satin_sim::{SimDuration, SimTime};
-use satin_system::{SatinError, SystemBuilder};
+use satin_system::{SatinError, System, SystemBuilder};
 
 /// Campaign configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +54,30 @@ impl DetectionConfig {
             rounds: 190,
             tgoal: SimDuration::from_secs(152),
             seed,
+            trace: false,
+            telemetry: false,
+        }
+    }
+
+    /// One sweep of the 19 areas at `Tgoal` 9.5 s: the cell shape of the
+    /// golden snapshots, the quick grid and `repro submit`.
+    pub fn sweep(seed: u64) -> Self {
+        DetectionConfig {
+            rounds: 19,
+            tgoal: SimDuration::from_millis(9_500),
+            seed,
+            trace: false,
+            telemetry: false,
+        }
+    }
+
+    /// The campaign shape `scenario` declares (`campaign.rounds` at
+    /// `campaign.tgoal`), untraced; per-cell seeds replace `seed`.
+    pub fn for_scenario(scenario: &Scenario) -> Self {
+        DetectionConfig {
+            rounds: scenario.campaign.rounds,
+            tgoal: scenario.campaign.tgoal,
+            seed: 0,
             trace: false,
             telemetry: false,
         }
@@ -114,28 +139,65 @@ impl DetectionResult {
     }
 }
 
-/// Runs the campaign until SATIN has completed `config.rounds` rounds.
-///
-/// Equivalent to [`run_scenario`] with the `juno-r1` scenario — the
-/// paper's platform, attacker, and defense.
-pub fn run(config: DetectionConfig) -> DetectionResult {
-    run_scenario(&Scenario::paper(), config)
+/// One SATIN-vs-TZ-Evader cell: a built [`System`] with SATIN installed
+/// and the evader deployed. Every SATIN-vs-TZ-Evader campaign in this
+/// crate runs through one.
+pub struct Cell {
+    /// The machine the cell runs on.
+    pub sys: System,
+    /// SATIN's round log.
+    pub handle: SatinHandle,
+    /// The deployed attacker.
+    pub evader: TzEvader,
 }
 
-/// Runs the campaign on an arbitrary scenario: platform from the
-/// scenario's profile, SATIN from its defense profile (with `config.tgoal`
-/// overriding the goal, as quick campaigns always have), TZ-Evader from
-/// its attack profile. The rootkit still hijacks GETTID, which lives in
-/// area 14 of the paper kernel layout on every platform.
-pub fn run_scenario(scenario: &Scenario, config: DetectionConfig) -> DetectionResult {
-    try_run_scenario(scenario, config, 1)
-        .expect("campaign failed; fault-injected scenarios go through run_many_faulted")
+impl Cell {
+    /// Installs SATIN on an already-built `sys` (observers attached before
+    /// this call see the secure boot), then deploys TZ-Evader.
+    ///
+    /// # Errors
+    ///
+    /// SATIN's boot error.
+    pub fn new(
+        mut sys: System,
+        satin_cfg: SatinConfig,
+        evader_cfg: TzEvaderConfig,
+    ) -> Result<Self, SatinError> {
+        let (satin, handle) = Satin::new(satin_cfg);
+        sys.try_install_secure_service(satin)?;
+        let evader = TzEvader::deploy(&mut sys, evader_cfg);
+        Ok(Cell {
+            sys,
+            handle,
+            evader,
+        })
+    }
+
+    /// Runs one tp (`tgoal / 19`) at a time until SATIN has completed
+    /// `rounds` rounds, with `40 × tgoal` of simulated time as a safety net.
+    ///
+    /// # Errors
+    ///
+    /// A scheduled worker abort: it lands between run slices, and the
+    /// partial simulation is discarded.
+    pub fn run_rounds(&mut self, rounds: usize, tgoal: SimDuration) -> Result<(), SatinError> {
+        let slice = tgoal / 19;
+        let hard_stop = SimTime::ZERO + tgoal * 40;
+        while self.handle.round_count() < rounds && self.sys.now() < hard_stop {
+            self.sys.run_for(slice);
+            self.sys.check_fault_abort()?;
+        }
+        Ok(())
+    }
 }
 
-/// [`run_scenario`] with structured failure: a fault-injected worker abort
-/// or a boot error surfaces as a [`SatinError`] instead of a panic.
-/// `attempt` is the 1-based retry attempt (faults with an attempt budget
-/// stand down once it is exceeded).
+/// Runs one campaign cell on `scenario` until SATIN has completed
+/// `config.rounds` rounds: platform from the scenario's profile, SATIN from
+/// its defense profile (with `config.tgoal` overriding the goal, as quick
+/// campaigns always have), TZ-Evader from its attack profile. The rootkit
+/// still hijacks GETTID, which lives in area 14 of the paper kernel layout
+/// on every platform. `attempt` is the 1-based retry attempt (faults with
+/// an attempt budget stand down once it is exceeded).
 ///
 /// # Errors
 ///
@@ -148,74 +210,32 @@ pub fn try_run_scenario(
 ) -> Result<DetectionResult, SatinError> {
     let mut satin_cfg = SatinConfig::from_profile(&scenario.defense);
     satin_cfg.tgoal = config.tgoal;
-    let mut sys = SystemBuilder::new()
+    let sys = SystemBuilder::new()
         .seed(config.seed)
         .scenario(scenario)
         .fault_attempt(attempt)
         .trace(config.trace)
         .telemetry(config.telemetry)
         .build();
-    let (satin, handle) = Satin::new(satin_cfg);
-    sys.try_install_secure_service(satin)?;
-    let evader = TzEvader::deploy(&mut sys, TzEvaderConfig::from_profile(&scenario.attack));
-
-    let slice = config.tgoal / 19; // one tp
-    let hard_stop = SimTime::ZERO + config.tgoal * 40; // safety net
-    while handle.round_count() < config.rounds && sys.now() < hard_stop {
-        sys.run_for(slice);
-        // A scheduled worker abort lands between run slices: the partial
-        // simulation is discarded and the seed reports a failed row.
-        sys.check_fault_abort()?;
-    }
-    let metrics = MetricsReport::capture(&sys);
-    Ok(summarize(&handle, &evader, config, sys.now(), metrics))
+    let evader = TzEvaderConfig::from_profile(&scenario.attack);
+    let mut cell = Cell::new(sys, satin_cfg, evader)?;
+    cell.run_rounds(config.rounds, config.tgoal)?;
+    Ok(summarize(&cell, config))
 }
 
-/// Runs one campaign per seed through `runner`, returning results in seed
-/// order (identical for any worker count — campaigns share no state).
-pub fn run_many(
-    base: DetectionConfig,
-    seeds: &[u64],
-    runner: &CampaignRunner,
-) -> Vec<DetectionResult> {
-    run_many_scenario(&Scenario::paper(), base, seeds, runner)
-}
-
-/// [`run_many`] on an arbitrary scenario.
-pub fn run_many_scenario(
-    scenario: &Scenario,
-    base: DetectionConfig,
-    seeds: &[u64],
-    runner: &CampaignRunner,
-) -> Vec<DetectionResult> {
-    runner.run_seeds(seeds, |seed| {
-        run_scenario(scenario, DetectionConfig { seed, ..base })
-    })
-}
-
-/// [`run_many_scenario`] with the scenario's fault plan armed: each seed is
-/// retried per the plan's `max-attempts`/`backoff-ms`, and a seed whose
-/// every attempt fails (e.g. an injected worker abort with a large attempt
-/// budget) comes back as a [`SeedOutcome::Failed`] row — the batch itself
-/// never panics. Output is identical for any worker count.
-pub fn run_many_faulted(
-    scenario: &Scenario,
-    base: DetectionConfig,
-    seeds: &[u64],
-    runner: &CampaignRunner,
-) -> Vec<SeedOutcome<DetectionResult>> {
-    let policy = RetryPolicy::from_plan(&scenario.faults);
-    runner.run_seeds_with_retry(seeds, policy, |seed, attempt| {
-        try_run_scenario(scenario, DetectionConfig { seed, ..base }, attempt)
-    })
-}
-
-/// [`run_many_faulted`] with a campaign event stream: every cell logs its
-/// lifecycle plus one `cell.fault_armed` event per fault kind the plan arms
-/// for that `(seed, attempt)`. The canonical stream is assembled from the
-/// cell logs in seed order, so its JSONL form is byte-identical for any
-/// worker count; `obs`'s live channel (if any) additionally sees the events
-/// as they happen, tagged with worker and host time.
+/// Runs one cell per seed through `runner` with the scenario's fault plan
+/// armed: each seed is retried per the plan's `max-attempts`/`backoff-ms`,
+/// and a seed whose every attempt fails (e.g. an injected worker abort
+/// with a large attempt budget) comes back as a [`SeedOutcome::Failed`]
+/// row — the batch itself never panics. A clean run is the empty plan: one
+/// attempt, no backoff.
+///
+/// Every cell logs its lifecycle plus one `cell.fault_armed` event per
+/// fault kind the plan arms for that `(seed, attempt)`. The canonical
+/// stream is assembled from the cell logs in seed order, so outcomes and
+/// stream are identical for any worker count; `obs`'s live channel (if
+/// any) additionally sees the events as they happen, tagged with worker
+/// and host time. Callers that want no stream drop it.
 pub fn run_many_faulted_observed(
     scenario: &Scenario,
     base: DetectionConfig,
@@ -241,6 +261,43 @@ pub fn run_many_faulted_observed(
             try_run_scenario(scenario, DetectionConfig { seed, ..base }, attempt)
         },
     )
+}
+
+/// The campaign daemon's backend (`repro serve`): the submitted seeds run
+/// through [`run_many_faulted_observed`] in the scenario's own campaign
+/// shape, and each outcome becomes the result store's cell record.
+pub fn serve_cells(
+    scenario: &Scenario,
+    seeds: &[u64],
+    runner: &CampaignRunner,
+) -> (Vec<CellRecord>, EventStream) {
+    let obs = CampaignObs::new(&format!("serve/{}", scenario.name));
+    let base = DetectionConfig::for_scenario(scenario);
+    let (outcomes, stream) = run_many_faulted_observed(scenario, base, seeds, runner, &obs);
+    (outcomes.iter().map(cell_record).collect(), stream)
+}
+
+/// Shapes one campaign outcome into the store's cell record — the same
+/// fields the fault report renders.
+fn cell_record(out: &SeedOutcome<DetectionResult>) -> CellRecord {
+    match out.value() {
+        Some(r) => CellRecord {
+            ok: true,
+            attempts: out.attempts(),
+            rounds: r.rounds as u64,
+            detections: r.area14_detections,
+            faults_injected: r.metrics.faults_injected(),
+            error: String::new(),
+        },
+        None => CellRecord {
+            ok: false,
+            attempts: out.attempts(),
+            rounds: 0,
+            detections: 0,
+            faults_injected: 0,
+            error: out.error().unwrap_or("campaign failed").to_string(),
+        },
+    }
 }
 
 /// Fleet-level aggregates over a batch of campaigns.
@@ -300,13 +357,14 @@ impl DetectionAggregate {
     }
 }
 
-pub(crate) fn summarize(
-    handle: &SatinHandle,
-    evader: &TzEvader,
-    config: DetectionConfig,
-    now: SimTime,
-    metrics: MetricsReport,
-) -> DetectionResult {
+/// The cell's campaign summary over its first `config.rounds` rounds, with
+/// the machine's counters captured now.
+pub(crate) fn summarize(cell: &Cell, config: DetectionConfig) -> DetectionResult {
+    let Cell {
+        sys,
+        handle,
+        evader,
+    } = cell;
     let all_rounds = handle.rounds();
     let rounds: &[RoundRecord] = &all_rounds[..all_rounds.len().min(config.rounds)];
     let mut attacked = 0u64;
@@ -361,8 +419,8 @@ pub(crate) fn summarize(
         area14_mean_gap_secs: handle.mean_check_gap_secs(PAPER_SYSCALL_AREA),
         sweep_secs,
         other_area_alarms: other_alarms,
-        simulated_secs: now.as_secs_f64(),
-        metrics,
+        simulated_secs: sys.now().as_secs_f64(),
+        metrics: MetricsReport::capture(sys),
     }
 }
 
@@ -370,9 +428,13 @@ pub(crate) fn summarize(
 mod tests {
     use super::*;
 
+    fn paper_cell(config: DetectionConfig) -> DetectionResult {
+        try_run_scenario(&Scenario::paper(), config, 1).expect("clean campaign")
+    }
+
     #[test]
     fn quick_campaign_detects_every_attacked_check() {
-        let r = run(DetectionConfig::quick(1));
+        let r = paper_cell(DetectionConfig::quick(1));
         assert!(r.rounds >= 57, "{} rounds", r.rounds);
         assert!(r.sweeps >= 2, "{} sweeps", r.sweeps);
         let total_area14 = r.area14_attacked_checks + r.area14_early_warning_checks;
@@ -405,17 +467,24 @@ mod tests {
     }
 
     #[test]
-    fn run_many_aggregates_identically_for_any_job_count() {
-        let base = DetectionConfig {
-            rounds: 19,
-            tgoal: SimDuration::from_millis(9_500),
-            seed: 0,
-            trace: false,
-            telemetry: false,
-        };
+    fn clean_fan_out_aggregates_identically_for_any_job_count() {
+        let base = DetectionConfig::sweep(0);
         let seeds = [5u64, 6];
-        let serial = run_many(base, &seeds, &CampaignRunner::serial());
-        let parallel = run_many(base, &seeds, &CampaignRunner::new(2));
+        let run = |runner: &CampaignRunner| {
+            let obs = CampaignObs::new("clean");
+            let (outcomes, _) =
+                run_many_faulted_observed(&Scenario::paper(), base, &seeds, runner, &obs);
+            outcomes
+                .into_iter()
+                .map(|o| {
+                    // The empty plan: one attempt per seed, no failures.
+                    assert_eq!(o.attempts(), 1);
+                    o.value().cloned().expect("clean campaign")
+                })
+                .collect::<Vec<_>>()
+        };
+        let serial = run(&CampaignRunner::serial());
+        let parallel = run(&CampaignRunner::new(2));
         // Campaigns are pure functions of their seed, and the runner returns
         // results in input order — so the whole batch is bitwise identical.
         assert_eq!(serial, parallel);
@@ -433,13 +502,7 @@ mod tests {
     fn observed_fault_stream_is_jobs_invariant_and_salvages_seed_42() {
         let mut sc = Scenario::paper();
         sc.faults = satin_scenario::FaultPlan::smoke();
-        let base = DetectionConfig {
-            rounds: 19,
-            tgoal: SimDuration::from_millis(9_500),
-            seed: 0,
-            trace: false,
-            telemetry: false,
-        };
+        let base = DetectionConfig::sweep(0);
         let seeds = [7u64, 42, 1009];
         let run = |runner: &CampaignRunner| {
             let obs = CampaignObs::new("faults/smoke");
@@ -472,7 +535,7 @@ mod tests {
 
     #[test]
     fn gap_scales_with_tgoal() {
-        let r = run(DetectionConfig::quick(2));
+        let r = paper_cell(DetectionConfig::quick(2));
         // At tp = 1 s over 19 areas, the expected mean gap for one area is
         // ≈ 19 s (the paper's 141-152 s scaled by 1/8).
         if let Some(gap) = r.area14_mean_gap_secs {

@@ -44,9 +44,7 @@ pub mod userprober;
 pub use analysis::{analyze_campaign, AnalysisRun};
 pub use runner::{CampaignRunner, MetricsReport, RetryPolicy, SeedOutcome};
 pub use scenario_grid::{ScenarioGrid, ScenarioGridReport, ScenarioOutcome};
-pub use telemetry_report::{
-    run_traced_race, run_traced_race_scenario, TelemetryReport, TracedRace,
-};
+pub use telemetry_report::{run_traced_race_scenario, TelemetryReport, TracedRace};
 
 /// Default master seed for all experiments (override per run for variance
 /// studies).

@@ -49,25 +49,15 @@ impl CampaignRunner {
 
     /// Applies `f` to every item and returns the results **in input order**.
     ///
-    /// Workers pull items off a shared atomic index (so a slow campaign
-    /// doesn't starve the rest of a pre-chunked stripe) and tag each result
-    /// with its index; the tags restore input order at the end. With one
-    /// worker — or one item — everything runs on the calling thread.
-    pub fn run<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        self.run_with(items, |_, _, item| f(item))
-    }
-
-    /// [`run`](CampaignRunner::run) with scheduling context: `f` receives
-    /// `(worker index, item index, item)`. The worker index is a
-    /// scheduling accident — callers must only feed it to host-domain
+    /// `f` receives `(worker index, item index, item)`. Workers pull items
+    /// off a shared atomic index (so a slow campaign doesn't starve the
+    /// rest of a pre-chunked stripe) and tag each result with its index;
+    /// the tags restore input order at the end. With one worker — or one
+    /// item — everything runs on the calling thread. The worker index is a
+    /// scheduling accident: callers must only feed it to host-domain
     /// observability (live events, utilization), never into anything that
     /// shapes a result, or the jobs-invariance guarantee breaks.
-    pub fn run_with<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
+    pub fn run<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
         I: Sync,
         T: Send,
@@ -112,74 +102,19 @@ impl CampaignRunner {
         tagged.into_iter().map(|(_, t)| t).collect()
     }
 
-    /// [`run`](CampaignRunner::run) specialized to the common case: one
-    /// campaign per seed.
-    pub fn run_seeds<T, F>(&self, seeds: &[u64], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-    {
-        self.run(seeds, |&s| f(s))
-    }
-
-    /// [`run_seeds`](CampaignRunner::run_seeds) for fallible campaigns:
-    /// each seed is attempted up to `policy.max_attempts` times (with a
-    /// bounded wall-clock backoff between attempts), and a seed whose every
-    /// attempt fails yields a structured [`SeedOutcome::Failed`] row instead
-    /// of aborting the batch. `f` receives the 1-based attempt number so a
-    /// fault injector with an attempt budget can stand down on retries.
+    /// Runs one fallible campaign per seed, each attempted up to
+    /// `policy.max_attempts` times (with a bounded wall-clock backoff
+    /// between attempts); a seed whose every attempt fails yields a
+    /// structured [`SeedOutcome::Failed`] row instead of aborting the
+    /// batch. `f` receives the 1-based attempt number so a fault injector
+    /// with an attempt budget can stand down on retries. Result order —
+    /// and, because injected faults are pure functions of (seed, attempt),
+    /// result *content* — is identical for any worker count.
     ///
-    /// Result order — and, because injected faults are pure functions of
-    /// (seed, attempt), result *content* — is identical for any worker
-    /// count.
-    pub fn run_seeds_with_retry<T, E, F>(
-        &self,
-        seeds: &[u64],
-        policy: RetryPolicy,
-        f: F,
-    ) -> Vec<SeedOutcome<T>>
-    where
-        T: Send,
-        E: fmt::Display,
-        F: Fn(u64, u32) -> Result<T, E> + Sync,
-    {
-        let max = policy.max_attempts.max(1);
-        self.run_seeds(seeds, |seed| {
-            let mut attempt = 1u32;
-            loop {
-                match f(seed, attempt) {
-                    Ok(value) => {
-                        return SeedOutcome::Ok {
-                            seed,
-                            attempts: attempt,
-                            value,
-                        }
-                    }
-                    Err(e) if attempt >= max => {
-                        return SeedOutcome::Failed {
-                            seed,
-                            attempts: attempt,
-                            error: e.to_string(),
-                        }
-                    }
-                    Err(_) => {
-                        let pause = policy.pause_after(attempt);
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                        attempt += 1;
-                    }
-                }
-            }
-        })
-    }
-
-    /// [`run_seeds_with_retry`](CampaignRunner::run_seeds_with_retry) with
-    /// a campaign event stream: each cell logs its lifecycle
-    /// (worker-assigned, started, per-attempt, retried, salvaged,
-    /// finished) into a deterministic [`CellEvents`] buffer that `f` can
-    /// extend (e.g. with `cell.fault_armed`), and the merged
-    /// [`EventStream`] comes back alongside the outcomes.
+    /// Each cell logs its lifecycle (worker-assigned, started, per-attempt,
+    /// retried, salvaged, finished) into a deterministic [`CellEvents`]
+    /// buffer that `f` can extend (e.g. with `cell.fault_armed`), and the
+    /// merged [`EventStream`] comes back alongside the outcomes.
     ///
     /// `label` names each cell (`scenario.cell_label(seed)` for grid
     /// identity). The stream is assembled from the *returned* cell logs in
@@ -205,7 +140,7 @@ impl CampaignRunner {
         };
         obs.live_send(None, &started);
         let max = policy.max_attempts.max(1);
-        let cells = self.run_with(seeds, |worker, cell, &seed| {
+        let cells = self.run(seeds, |worker, cell, &seed| {
             let mut log = obs.begin_cell(worker, cell, seed);
             log.emit(ObsEvent::CellStarted {
                 cell,
@@ -304,16 +239,9 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// One attempt, no backoff — failures surface immediately.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-
     /// The retry policy a fault plan asks for (`max-attempts` /
-    /// `backoff-ms` keys of the `[faults]` section).
+    /// `backoff-ms` keys of the `[faults]` section). The empty plan asks
+    /// for one attempt and no backoff: failures surface immediately.
     pub fn from_plan(plan: &FaultPlan) -> Self {
         RetryPolicy {
             max_attempts: plan.max_attempts.max(1),
@@ -323,9 +251,9 @@ impl RetryPolicy {
 
     /// The wall-clock pause after failed attempt `attempt` (1-based):
     /// `backoff × attempt`, saturating on overflow, and never more than
-    /// [`MAX_RETRY_PAUSE`]. This is the single pause computation both retry
-    /// loops use — the documented 1 s per-pause cap holds for any
-    /// `backoff_ms × attempt`, so a retry storm cannot hang a batch.
+    /// [`MAX_RETRY_PAUSE`]. The retry loop pauses by this alone, so the
+    /// documented 1 s per-pause cap holds for any `backoff_ms × attempt`
+    /// and a retry storm cannot hang a batch.
     pub fn pause_after(&self, attempt: u32) -> Duration {
         self.backoff.saturating_mul(attempt).min(MAX_RETRY_PAUSE)
     }
@@ -336,13 +264,8 @@ impl RetryPolicy {
 /// at 1 s.
 pub const MAX_RETRY_PAUSE: Duration = Duration::from_secs(1);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-/// One seed's campaign outcome under [`CampaignRunner::run_seeds_with_retry`].
+/// One seed's campaign outcome under
+/// [`CampaignRunner::run_seeds_with_retry_observed`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SeedOutcome<T> {
     /// The campaign completed, possibly after retries.
@@ -399,12 +322,6 @@ impl<T> SeedOutcome<T> {
     /// `true` for a [`SeedOutcome::Failed`] row.
     pub fn is_failed(&self) -> bool {
         matches!(self, SeedOutcome::Failed { .. })
-    }
-}
-
-impl Default for CampaignRunner {
-    fn default() -> Self {
-        CampaignRunner::serial()
     }
 }
 
@@ -629,8 +546,8 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<u64> = (0..64).collect();
-        let serial = CampaignRunner::serial().run(&items, |&i| i * i + 1);
-        let parallel = CampaignRunner::new(4).run(&items, |&i| i * i + 1);
+        let serial = CampaignRunner::serial().run(&items, |_, _, &i| i * i + 1);
+        let parallel = CampaignRunner::new(4).run(&items, |_, _, &i| i * i + 1);
         assert_eq!(serial, parallel);
         assert_eq!(parallel[10], 101);
     }
@@ -640,19 +557,13 @@ mod tests {
         let r = CampaignRunner::new(0);
         assert!(r.jobs() >= 1);
         assert_eq!(CampaignRunner::new(3).jobs(), 3);
-        assert_eq!(CampaignRunner::default().jobs(), 1);
+        assert_eq!(CampaignRunner::serial().jobs(), 1);
     }
 
     #[test]
     fn more_workers_than_items_is_fine() {
-        let out = CampaignRunner::new(8).run(&[7u64, 9], |&s| s + 1);
-        assert_eq!(out, vec![8, 10]);
-    }
-
-    #[test]
-    fn run_seeds_passes_seed_by_value() {
-        let out = CampaignRunner::new(2).run_seeds(&[1, 2, 3, 4], |s| s * 10);
-        assert_eq!(out, vec![10, 20, 30, 40]);
+        let out = CampaignRunner::new(8).run(&[7u64, 9], |_, i, &s| s + i as u64);
+        assert_eq!(out, vec![7, 10]);
     }
 
     #[test]
@@ -714,7 +625,9 @@ mod tests {
         // 400 ms × 3 = 1.2 s exceeds the cap.
         assert_eq!(policy.pause_after(3), MAX_RETRY_PAUSE);
         assert_eq!(policy.pause_after(u32::MAX), MAX_RETRY_PAUSE);
-        assert_eq!(RetryPolicy::none().pause_after(5), Duration::ZERO);
+        let clean = RetryPolicy::from_plan(&FaultPlan::default());
+        assert_eq!(clean.max_attempts, 1);
+        assert_eq!(clean.pause_after(5), Duration::ZERO);
     }
 
     #[test]

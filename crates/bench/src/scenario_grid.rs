@@ -67,6 +67,18 @@ impl ScenarioGrid {
         ScenarioGrid::new(satin_scenario::builtins(), base_seed)
     }
 
+    /// Quick mode: every campaign shrinks to one sweep of the 19 areas
+    /// ([`DetectionConfig::sweep`]) over 2 seeds.
+    pub fn quick(mut self) -> Self {
+        let sweep = DetectionConfig::sweep(0);
+        for sc in &mut self.scenarios {
+            sc.campaign.rounds = sweep.rounds;
+            sc.campaign.tgoal = sweep.tgoal;
+            sc.campaign.seeds = 2;
+        }
+        self
+    }
+
     /// Runs the sweep. The cartesian product of scenarios × seeds goes
     /// through `runner` as one flat work list; results are regrouped per
     /// scenario afterwards, in input order.
@@ -79,18 +91,14 @@ impl ScenarioGrid {
                 (0..sc.campaign.seeds as u64).map(move |s| (idx, self.base_seed + s))
             })
             .collect();
-        let results = runner.run(&jobs, |&(idx, seed)| {
+        let results = runner.run(&jobs, |_, _, &(idx, seed)| {
             let sc = &self.scenarios[idx];
-            detection::run_scenario(
-                sc,
-                DetectionConfig {
-                    rounds: sc.campaign.rounds,
-                    tgoal: sc.campaign.tgoal,
-                    seed,
-                    trace: false,
-                    telemetry: false,
-                },
-            )
+            let config = DetectionConfig {
+                seed,
+                ..DetectionConfig::for_scenario(sc)
+            };
+            // The grid has no salvage path: `repro grid` strips fault plans.
+            detection::try_run_scenario(sc, config, 1).expect("grid campaign failed")
         });
         let mut outcomes = Vec::with_capacity(self.scenarios.len());
         let mut cursor = 0usize;
@@ -157,22 +165,10 @@ impl fmt::Display for ScenarioGridReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use satin_sim::SimDuration;
-
-    /// Shrinks every campaign in a grid so tests stay fast: one sweep of
-    /// the 19 areas per seed, 2 seeds.
-    fn shrink(mut grid: ScenarioGrid) -> ScenarioGrid {
-        for sc in &mut grid.scenarios {
-            sc.campaign.rounds = 19;
-            sc.campaign.tgoal = SimDuration::from_millis(9_500);
-            sc.campaign.seeds = 2;
-        }
-        grid
-    }
 
     #[test]
     fn builtin_grid_runs_all_scenarios_deterministically() {
-        let grid = shrink(ScenarioGrid::builtins(42));
+        let grid = ScenarioGrid::builtins(42).quick();
         let serial = grid.run(&CampaignRunner::serial());
         let parallel = grid.run(&CampaignRunner::new(2));
         // Campaigns are pure functions of (scenario, seed) and the runner
@@ -197,10 +193,7 @@ mod tests {
 
     #[test]
     fn report_renders_one_row_per_scenario() {
-        let grid = shrink(ScenarioGrid::new(
-            vec![satin_scenario::Scenario::paper()],
-            7,
-        ));
+        let grid = ScenarioGrid::new(vec![satin_scenario::Scenario::paper()], 7).quick();
         let report = grid.run(&CampaignRunner::serial());
         let text = report.to_string();
         assert!(text.contains("base seed 7"), "{text}");

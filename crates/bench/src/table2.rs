@@ -26,21 +26,16 @@ pub struct Table2Row {
     pub boxplot: FiveNumber,
 }
 
-/// Runs the campaign for the given periods with `rounds` rounds each.
-pub fn run(periods_secs: &[u64], rounds: usize, seed: u64) -> Vec<Table2Row> {
-    run_with(periods_secs, rounds, seed, &CampaignRunner::serial())
-}
-
-/// [`run`], with one period-campaign per `runner` worker. Each period seeds
-/// its own independent campaign, so the rows are identical for any job
-/// count.
-pub fn run_with(
+/// Runs the campaign for the given periods with `rounds` rounds each, one
+/// period-campaign per `runner` worker. Each period seeds its own
+/// independent campaign, so the rows are identical for any job count.
+pub fn run(
     periods_secs: &[u64],
     rounds: usize,
     seed: u64,
     runner: &CampaignRunner,
 ) -> Vec<Table2Row> {
-    runner.run(periods_secs, |&p| {
+    runner.run(periods_secs, |_, _, &p| {
         let maxima = probing_threshold_campaign(
             seed.wrapping_add(p),
             SimDuration::from_secs(p),
@@ -80,7 +75,7 @@ mod tests {
     #[test]
     fn threshold_grows_with_period() {
         // Short periods for test speed; the growth shape is what matters.
-        let rows = run(&[2, 8, 30], 4, 11);
+        let rows = run(&[2, 8, 30], 4, 11, &CampaignRunner::serial());
         assert_eq!(rows.len(), 3);
         assert!(
             rows[0].threshold.mean < rows[2].threshold.mean,

@@ -13,9 +13,10 @@
 //!   span [`Timeline`] and [`TraceLog`], exportable as Chrome `trace_event`
 //!   JSON via [`satin_telemetry::chrome_trace`] — the `--trace-out` file.
 
+use crate::detection::Cell;
 use crate::runner::{MetricsReport, SeedOutcome};
-use satin_attack::{TzEvader, TzEvaderConfig};
-use satin_core::{Satin, SatinConfig};
+use satin_attack::TzEvaderConfig;
+use satin_core::SatinConfig;
 use satin_scenario::Scenario;
 use satin_sim::{SimDuration, SimTime, TraceLog};
 use satin_stats::hist::render_count_rows;
@@ -257,16 +258,11 @@ impl TracedRace {
 }
 
 /// Runs one instrumented SATIN-vs-TZ-Evader race for `horizon` of simulated
-/// time on the paper's platform. Pure function of `seed` — and telemetry is
-/// pure observation — so the exported trace is byte-identical across runs
-/// and job counts.
-pub fn run_traced_race(seed: u64, horizon: SimDuration) -> TracedRace {
-    run_traced_race_scenario(&Scenario::paper(), seed, horizon)
-}
-
-/// [`run_traced_race`] on an arbitrary scenario: the platform, attacker and
-/// defense configs all come from the descriptor (the accelerated tp = 1 s
-/// pace is kept, as the trace is meant to show several rounds).
+/// time: the platform, attacker and defense configs all come from the
+/// descriptor (the accelerated tp = 1 s pace is kept, as the trace is meant
+/// to show several rounds). Pure function of `seed` — and telemetry is pure
+/// observation — so the exported trace is byte-identical across runs and
+/// job counts.
 pub fn run_traced_race_scenario(
     scenario: &Scenario,
     seed: u64,
@@ -274,21 +270,19 @@ pub fn run_traced_race_scenario(
 ) -> TracedRace {
     let mut cfg = SatinConfig::from_profile(&scenario.defense);
     cfg.tgoal = SimDuration::from_secs(19); // tp = 1 s over 19 areas
-    let mut sys = SystemBuilder::new()
+    let sys = SystemBuilder::new()
         .seed(seed)
         .scenario(scenario)
         .trace(true)
         .telemetry(true)
         .build();
-    let (satin, _handle) = Satin::new(cfg);
-    sys.install_secure_service(satin);
-    let _evader = TzEvader::deploy(&mut sys, TzEvaderConfig::from_profile(&scenario.attack));
-    sys.run_until(SimTime::ZERO + horizon);
-    let metrics = MetricsReport::capture(&sys);
+    let mut cell = Cell::new(sys, cfg, TzEvaderConfig::from_profile(&scenario.attack))
+        .expect("secure service boot failed");
+    cell.sys.run_until(SimTime::ZERO + horizon);
     TracedRace {
-        timeline: sys.telemetry().clone(),
-        trace: sys.trace().clone(),
-        metrics,
+        timeline: cell.sys.telemetry().clone(),
+        trace: cell.sys.trace().clone(),
+        metrics: MetricsReport::capture(&cell.sys),
         horizon,
     }
 }
@@ -299,7 +293,7 @@ mod tests {
 
     #[test]
     fn traced_race_covers_every_session() {
-        let race = run_traced_race(42, SimDuration::from_secs(5));
+        let race = run_traced_race_scenario(&Scenario::paper(), 42, SimDuration::from_secs(5));
         let tl = &race.timeline;
         assert!(!tl.is_empty(), "no spans recorded");
         assert_eq!(tl.open_count(), 0, "dangling spans at end of run");
@@ -330,7 +324,7 @@ mod tests {
         // The exports are non-trivial and deterministic.
         let json = race.chrome_trace();
         assert!(json.contains("secure.session"));
-        let again = run_traced_race(42, SimDuration::from_secs(5));
+        let again = run_traced_race_scenario(&Scenario::paper(), 42, SimDuration::from_secs(5));
         assert_eq!(json, again.chrome_trace());
         assert_eq!(race.jsonl(), again.jsonl());
     }
@@ -379,7 +373,7 @@ mod tests {
 
     #[test]
     fn report_json_shape() {
-        let race = run_traced_race(7, SimDuration::from_secs(3));
+        let race = run_traced_race_scenario(&Scenario::paper(), 7, SimDuration::from_secs(3));
         let report = TelemetryReport::of(&[race.metrics.clone(), race.metrics.clone()]);
         assert_eq!(report.campaigns, 2);
         assert_eq!(report.publications, 2 * race.metrics.publications);

@@ -14,7 +14,6 @@ use satin_bench::detection::{self, DetectionConfig};
 use satin_bench::CampaignRunner;
 use satin_obs::CampaignObs;
 use satin_scenario::{FaultPlan, Scenario};
-use satin_sim::SimDuration;
 use std::path::PathBuf;
 
 const SEEDS: [u64; 3] = [7, 42, 1009];
@@ -22,13 +21,7 @@ const SEEDS: [u64; 3] = [7, 42, 1009];
 /// One sweep of the 19 areas — long enough that the smoke plan's 3 s
 /// publication drop and 6 s abort both land (same shape as fault_golden).
 fn config() -> DetectionConfig {
-    DetectionConfig {
-        rounds: 19,
-        tgoal: SimDuration::from_millis(9_500),
-        seed: 0,
-        trace: false,
-        telemetry: false,
-    }
+    DetectionConfig::sweep(0)
 }
 
 /// Runs the observed acceptance campaign and returns the canonical stream

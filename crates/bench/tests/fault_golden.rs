@@ -13,8 +13,8 @@
 
 use satin_bench::detection::{self, DetectionConfig, DetectionResult};
 use satin_bench::{CampaignRunner, SeedOutcome};
+use satin_obs::CampaignObs;
 use satin_scenario::{FaultPlan, Scenario};
-use satin_sim::SimDuration;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -23,24 +23,20 @@ const SEEDS: [u64; 3] = [7, 42, 1009];
 /// One sweep of the 19 areas, like the other golden tests — long enough
 /// that the smoke plan's 3 s publication drop and 6 s abort both land.
 fn config() -> DetectionConfig {
-    DetectionConfig {
-        rounds: 19,
-        tgoal: SimDuration::from_millis(9_500),
-        seed: 0,
-        trace: false,
-        telemetry: false,
-    }
+    DetectionConfig::sweep(0)
 }
 
-/// Runs the acceptance campaign and renders every outcome — failed seeds
-/// included — as a deterministic text block.
-fn summarize(runner: &CampaignRunner) -> String {
+/// Runs the acceptance campaign; its event stream is pinned by
+/// `events_golden`.
+fn outcomes(runner: &CampaignRunner) -> Vec<SeedOutcome<DetectionResult>> {
     let mut sc = Scenario::paper();
     sc.faults = FaultPlan::smoke();
-    let outcomes = detection::run_many_faulted(&sc, config(), &SEEDS, runner);
-    render(&outcomes)
+    let obs = CampaignObs::new("faults/smoke");
+    detection::run_many_faulted_observed(&sc, config(), &SEEDS, runner, &obs).0
 }
 
+/// Renders every outcome — failed seeds included — as a deterministic text
+/// block.
 fn render(outcomes: &[SeedOutcome<DetectionResult>]) -> String {
     let mut out = String::new();
     writeln!(
@@ -97,17 +93,15 @@ fn check(name: &str, got: &str) {
 
 #[test]
 fn fault_campaign_matches_snapshot_and_is_jobs_invariant() {
-    let serial = summarize(&CampaignRunner::serial());
-    let parallel = summarize(&CampaignRunner::new(4));
+    let serial = render(&outcomes(&CampaignRunner::serial()));
+    let parallel = render(&outcomes(&CampaignRunner::new(4)));
     assert_eq!(serial, parallel, "fault campaign depends on worker count");
     check("fault_campaign_smoke.snap", &serial);
 }
 
 #[test]
 fn abort_seed_salvages_as_failed_row() {
-    let mut sc = Scenario::paper();
-    sc.faults = FaultPlan::smoke();
-    let outcomes = detection::run_many_faulted(&sc, config(), &SEEDS, &CampaignRunner::serial());
+    let outcomes = outcomes(&CampaignRunner::serial());
     assert_eq!(outcomes.len(), SEEDS.len());
     let failed: Vec<_> = outcomes.iter().filter(|o| o.is_failed()).collect();
     assert_eq!(failed.len(), 1, "exactly the abort seed fails");

@@ -10,7 +10,6 @@
 
 use satin_bench::detection::{self, DetectionConfig};
 use satin_bench::{CampaignRunner, ScenarioGrid};
-use satin_sim::SimDuration;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -20,16 +19,8 @@ const SEED: u64 = 42;
 /// built-in: a platform the paper never ran, summarized as counts.
 fn summarize_all_little() -> String {
     let sc = satin_scenario::builtin("all-little").expect("all-little is a built-in");
-    let r = detection::run_scenario(
-        &sc,
-        DetectionConfig {
-            rounds: 19,
-            tgoal: SimDuration::from_millis(9_500),
-            seed: SEED,
-            trace: false,
-            telemetry: false,
-        },
-    );
+    let r =
+        detection::try_run_scenario(&sc, DetectionConfig::sweep(SEED), 1).expect("clean campaign");
     let mut out = String::new();
     writeln!(out, "# scenario golden, all-little, seed {SEED}").unwrap();
     writeln!(out, "topology {}", sc.platform.topology_label()).unwrap();
@@ -50,12 +41,7 @@ fn summarize_all_little() -> String {
 /// The comparative report of the built-in grid, shrunk exactly like
 /// `repro grid` quick mode: one sweep per seed, two seeds per scenario.
 fn grid_report() -> String {
-    let mut grid = ScenarioGrid::builtins(SEED);
-    for sc in &mut grid.scenarios {
-        sc.campaign.rounds = 19;
-        sc.campaign.tgoal = SimDuration::from_millis(9_500);
-        sc.campaign.seeds = 2;
-    }
+    let grid = ScenarioGrid::builtins(SEED).quick();
     grid.run(&CampaignRunner::serial()).to_string()
 }
 

@@ -5,8 +5,8 @@
 //! the Unix socket; this test pins it at the library boundary where a
 //! failure names the faulty layer.
 
-use satin_bench::{detection, CampaignRunner, SeedOutcome};
-use satin_obs::{CampaignObs, EventStream, ObsEvent};
+use satin_bench::{detection, CampaignRunner};
+use satin_obs::{EventStream, ObsEvent};
 use satin_scenario::{FaultPlan, Scenario};
 use satin_serve::{CellRecord, JobService, ResultStore};
 use satin_sim::SimDuration;
@@ -32,41 +32,9 @@ fn smoke_scenario() -> Scenario {
     sc
 }
 
-/// The same backend closure `repro serve` installs.
+/// The backend `repro serve` installs, on one worker.
 fn backend(sc: &Scenario, seeds: &[u64]) -> (Vec<CellRecord>, EventStream) {
-    let base = detection::DetectionConfig {
-        rounds: sc.campaign.rounds,
-        tgoal: sc.campaign.tgoal,
-        seed: 0,
-        trace: false,
-        telemetry: false,
-    };
-    let obs = CampaignObs::new(&format!("serve/{}", sc.name));
-    let runner = CampaignRunner::new(1);
-    let (outcomes, stream) = detection::run_many_faulted_observed(sc, base, seeds, &runner, &obs);
-    let records = outcomes.iter().map(cell_record).collect();
-    (records, stream)
-}
-
-fn cell_record(out: &SeedOutcome<detection::DetectionResult>) -> CellRecord {
-    match out.value() {
-        Some(r) => CellRecord {
-            ok: true,
-            attempts: out.attempts(),
-            rounds: r.rounds as u64,
-            detections: r.area14_detections,
-            faults_injected: r.metrics.faults_injected(),
-            error: String::new(),
-        },
-        None => CellRecord {
-            ok: false,
-            attempts: out.attempts(),
-            rounds: 0,
-            detections: 0,
-            faults_injected: 0,
-            error: out.error().unwrap_or("campaign failed").to_string(),
-        },
-    }
+    detection::serve_cells(sc, seeds, &CampaignRunner::serial())
 }
 
 #[test]

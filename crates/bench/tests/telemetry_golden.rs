@@ -9,7 +9,9 @@
 //! ```
 
 use satin_bench::detection::{self, DetectionConfig};
-use satin_bench::{run_traced_race, CampaignRunner, MetricsReport, TelemetryReport};
+use satin_bench::{run_traced_race_scenario, CampaignRunner, MetricsReport, TelemetryReport};
+use satin_obs::CampaignObs;
+use satin_scenario::Scenario;
 use satin_sim::SimDuration;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -21,7 +23,7 @@ const SEEDS: [u64; 3] = [7, 42, 1009];
 /// machine-level golden traces, so this snapshot stays readable.
 fn summarize(seed: u64) -> String {
     let horizon = SimDuration::from_secs(8);
-    let race = run_traced_race(seed, horizon);
+    let race = run_traced_race_scenario(&Scenario::paper(), seed, horizon);
     let tl = &race.timeline;
     let mut out = String::new();
     writeln!(out, "# telemetry golden, seed {seed}").unwrap();
@@ -85,7 +87,7 @@ fn telemetry_span_counts_match_snapshots() {
 
 #[test]
 fn chrome_trace_covers_every_session() {
-    let race = run_traced_race(42, SimDuration::from_secs(8));
+    let race = run_traced_race_scenario(&Scenario::paper(), 42, SimDuration::from_secs(8));
     let json = race.chrome_trace();
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.trim_end().ends_with("]}"));
@@ -99,16 +101,18 @@ fn chrome_trace_covers_every_session() {
 #[test]
 fn metrics_json_is_identical_for_any_job_count() {
     let base = DetectionConfig {
-        rounds: 19,
-        tgoal: SimDuration::from_millis(9_500),
-        seed: 0,
-        trace: false,
         telemetry: true,
+        ..DetectionConfig::sweep(0)
     };
     let seeds = [42u64, 43];
     let report_for = |runner: &CampaignRunner| {
-        let results = detection::run_many(base, &seeds, runner);
-        let reports: Vec<MetricsReport> = results.iter().map(|r| r.metrics.clone()).collect();
+        let obs = CampaignObs::new("telemetry");
+        let (outcomes, _) =
+            detection::run_many_faulted_observed(&Scenario::paper(), base, &seeds, runner, &obs);
+        let reports: Vec<MetricsReport> = outcomes
+            .iter()
+            .map(|o| o.value().expect("clean campaign").metrics.clone())
+            .collect();
         TelemetryReport::of(&reports).to_json()
     };
     let serial = report_for(&CampaignRunner::serial());

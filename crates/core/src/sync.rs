@@ -104,11 +104,6 @@ impl SyncProtection {
         self.inner.borrow().traps.len()
     }
 
-    /// The ranges under protection.
-    pub fn protected_ranges(&self) -> Vec<MemRange> {
-        self.inner.borrow().protected.clone()
-    }
-
     /// `true` if `addr` falls inside a protected range — i.e. a write there
     /// *should* trap, so a successful silent write indicates the AP bits
     /// were flipped behind the layer's back (the §VII-A bypass).

@@ -75,11 +75,6 @@ impl Platform {
         &self.timing
     }
 
-    /// Mutable access to the timing model (for ablation experiments).
-    pub fn timing_mut(&mut self) -> &mut TimingModel {
-        &mut self.timing
-    }
-
     /// The secure monitor.
     pub fn monitor(&self) -> &SecureMonitor {
         &self.monitor

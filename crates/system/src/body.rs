@@ -7,7 +7,7 @@ use satin_hw::timing::TimingModel;
 use satin_hw::{CoreId, CoreKind};
 use satin_kernel::syscall::SyscallTable;
 use satin_mem::phys::WriteRecord;
-use satin_mem::{KernelLayout, MemError, MemRange, PhysAddr, PhysMemory};
+use satin_mem::{KernelLayout, MemError, PhysAddr, PhysMemory};
 use satin_sim::{Mark, MarkTag, SimDuration, SimRng, SimTime, TraceCategory, TraceLog};
 
 /// What a task does after its busy period ends.
@@ -173,12 +173,6 @@ impl<'a> RunCtx<'a> {
         self.timing
     }
 
-    /// Reads the shared physical counter (`CNTPCT_EL0`). Readable from the
-    /// normal world — which is what makes the probing side channel possible.
-    pub fn read_counter(&self) -> SimTime {
-        self.now
-    }
-
     /// Publishes a time report from this core into the shared buffer. The
     /// cross-core visibility delay is drawn from the calibrated distribution.
     /// Returns the sampled execution cost of the Time Reporter body, which
@@ -219,31 +213,6 @@ impl<'a> RunCtx<'a> {
     /// The monitored kernel's layout.
     pub fn layout(&self) -> &KernelLayout {
         self.layout
-    }
-
-    /// Reads kernel memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] for out-of-bounds ranges.
-    pub fn read_kernel(&self, range: MemRange) -> Result<&[u8], MemError> {
-        self.mem.read(range)
-    }
-
-    /// Writes kernel memory through the page-permission check (faults on
-    /// protected pages, like a write trapped by synchronous introspection).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`], including [`MemError::WriteProtected`].
-    pub fn write_kernel_checked(
-        &mut self,
-        addr: PhysAddr,
-        bytes: &[u8],
-    ) -> Result<WriteRecord, MemError> {
-        let rec = self.mem.write(addr, bytes)?;
-        self.after_write(addr, bytes);
-        Ok(rec)
     }
 
     /// Writes kernel memory bypassing page permissions — the attacker's path

@@ -102,12 +102,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Replaces the kernel configuration.
-    pub fn kernel_config(mut self, config: KernelConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Enables or disables tracing (disable for long benchmark runs).
     pub fn trace(mut self, enabled: bool) -> Self {
         self.trace = enabled;

@@ -378,11 +378,6 @@ impl System {
         &self.trace
     }
 
-    /// Mutable trace log (e.g. to clear between experiment phases).
-    pub fn trace_mut(&mut self) -> &mut TraceLog {
-        &mut self.trace
-    }
-
     /// The recorded telemetry timeline (disabled and empty unless built with
     /// [`crate::SystemBuilder::telemetry`]).
     pub fn telemetry(&self) -> &Timeline {
@@ -399,11 +394,6 @@ impl System {
     /// event engine. Observers are read-only, so this never perturbs a run.
     pub fn set_sim_observer(&mut self, observer: Box<dyn SimObserver<SysEvent>>) {
         self.sim.set_observer(observer);
-    }
-
-    /// Removes and returns the installed sim observer, if any.
-    pub fn take_sim_observer(&mut self) -> Option<Box<dyn SimObserver<SysEvent>>> {
-        self.sim.take_observer()
     }
 
     /// `true` if `core` is currently in the secure world.

@@ -289,15 +289,6 @@ impl Timeline {
         counts
     }
 
-    /// Instant counts keyed by name, in name order (deterministic).
-    pub fn instant_counts(&self) -> BTreeMap<&'static str, u64> {
-        let mut counts = BTreeMap::new();
-        for i in &self.instants {
-            *counts.entry(i.name).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// The direct children of `parent`, in id order.
     pub fn children(&self, parent: SpanId) -> impl Iterator<Item = &SpanRecord> {
         self.spans.iter().filter(move |s| s.parent == Some(parent))
