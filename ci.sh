@@ -42,6 +42,10 @@ tests/serve_socket.rs"
 FOUND="$(grep -rlE 'clippy::(disallowed_|style\b|all\b)' crates src tests examples | LC_ALL=C sort)"
 [ "$FOUND" = "$DOORWAYS" ] || { printf 'doorway guard: got\n%s\n' "$FOUND"; exit 1; }
 
+echo "== rustdoc (deny warnings) =="
+# A doc link to a renamed or deleted item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "== rustfmt =="
 cargo fmt --check
 

@@ -951,7 +951,7 @@ fn run_table1(o: &Opts) {
     println!("== TABLE I: Secure World Introspection Time ({rounds} rounds/cell) ==");
     println!("   paper: A53 hash avg 1.07e-8 [9.23e-9, 1.14e-8]; A57 hash avg 6.71e-9 [6.67e-9, 7.50e-9]");
     println!("          A53 snap avg 1.08e-8 [9.24e-9, 1.57e-8]; A57 snap avg 6.75e-9 [6.67e-9, 7.83e-9]");
-    let rows = table1::run_scenario(&o.scenario, rounds, o.seed);
+    let rows = table1::run(&o.scenario, rounds, o.seed);
     let mut t = Table::new(vec![
         "Core-Strategy".into(),
         "Average".into(),
@@ -981,7 +981,7 @@ fn run_switch(o: &Opts) {
     let mut t = Table::new(vec!["Core".into(), "Mean".into(), "Model bounds".into()]);
     t.align(1, Align::Right);
     for kind in o.scenario.platform.kinds_present() {
-        let s = switch::measure_scenario(&o.scenario, kind, rounds, o.seed);
+        let s = switch::measure(&o.scenario, kind, rounds, o.seed);
         t.row(vec![
             kind.to_string(),
             format!("{} s", fmt_sci(s.mean, 2)),
@@ -1007,7 +1007,7 @@ fn run_recover(o: &Opts) {
     // kinds_present() lists A53 before A57, so on Juno the per-kind seed
     // offsets match the original hard-coded (A53, 0), (A57, 1) pairs.
     for (seed_off, kind) in o.scenario.platform.kinds_present().into_iter().enumerate() {
-        let s = recover::measure_scenario(
+        let s = recover::measure(
             &o.scenario,
             kind,
             rounds,

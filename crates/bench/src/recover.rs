@@ -15,18 +15,13 @@ use satin_sim::{SimDuration, SimTime};
 use satin_stats::Summary;
 use satin_system::SystemBuilder;
 
-/// Measures `Tns_recover` on a core of `kind` over `rounds` hide cycles on
-/// the paper's platform. Returns the recovery-latency summary in seconds.
-pub fn measure(kind: CoreKind, rounds: usize, seed: u64) -> Summary {
-    measure_scenario(&Scenario::paper(), kind, rounds, seed)
-}
-
-/// [`measure`] on an arbitrary scenario's platform.
+/// Measures `Tns_recover` on a core of `kind` of `scenario`'s platform over
+/// `rounds` hide cycles. Returns the recovery-latency summary in seconds.
 ///
 /// # Panics
 ///
 /// Panics if the scenario's platform has no core of `kind`.
-pub fn measure_scenario(scenario: &Scenario, kind: CoreKind, rounds: usize, seed: u64) -> Summary {
+pub fn measure(scenario: &Scenario, kind: CoreKind, rounds: usize, seed: u64) -> Summary {
     // On Juno the original picks were core 0 (first A57) and core 4 (third
     // A53); preserve them, falling back to the first core of the kind on
     // platforms with fewer cores.
@@ -77,7 +72,7 @@ mod tests {
 
     #[test]
     fn a53_recovery_matches_paper() {
-        let s = measure(CoreKind::A53, 20, 5);
+        let s = measure(&Scenario::paper(), CoreKind::A53, 20, 5);
         // Paper: 5.80e-3 average; our path adds ≤ 50µs of poll latency.
         assert!(
             (5.4e-3..6.3e-3).contains(&s.mean),
@@ -89,8 +84,9 @@ mod tests {
 
     #[test]
     fn a57_recovers_faster_than_a53() {
-        let a53 = measure(CoreKind::A53, 15, 6).mean;
-        let a57 = measure(CoreKind::A57, 15, 7).mean;
+        let paper = Scenario::paper();
+        let a53 = measure(&paper, CoreKind::A53, 15, 6).mean;
+        let a57 = measure(&paper, CoreKind::A57, 15, 7).mean;
         assert!(a57 < a53, "A57 {a57:.3e} vs A53 {a53:.3e}");
         // Paper: A57 average 4.96e-3.
         assert!((4.5e-3..5.5e-3).contains(&a57), "A57 mean {a57:.3e}");

@@ -360,8 +360,8 @@ pub struct MetricsReport {
     /// Simulation events dispatched.
     pub events_dispatched: u64,
     /// Integrity alarms the secure service raised
-    /// ([`satin_system::SysStats::alarms`] — counted even when tracing is
-    /// off).
+    /// ([`satin_system::stats::SysStats::alarms`] — counted even when
+    /// tracing is off).
     pub alarms: u64,
     /// Distribution of publication delays (secure-timer fire to
     /// normal-world resume).

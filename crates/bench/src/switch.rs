@@ -44,19 +44,14 @@ impl SecureService for NoScanService {
     }
 }
 
-/// Measures `Ts_switch` on a core of `kind` over `rounds` world switches
-/// on the paper's platform. Returns the per-switch latency summary in
+/// Measures `Ts_switch` on a core of `kind` of `scenario`'s platform over
+/// `rounds` world switches. Returns the per-switch latency summary in
 /// seconds.
-pub fn measure(kind: CoreKind, rounds: usize, seed: u64) -> Summary {
-    measure_scenario(&Scenario::paper(), kind, rounds, seed)
-}
-
-/// [`measure`] on an arbitrary scenario's platform.
 ///
 /// # Panics
 ///
 /// Panics if the scenario's platform has no core of `kind`.
-pub fn measure_scenario(scenario: &Scenario, kind: CoreKind, rounds: usize, seed: u64) -> Summary {
+pub fn measure(scenario: &Scenario, kind: CoreKind, rounds: usize, seed: u64) -> Summary {
     // Second core of the requested kind when the platform has one (on Juno:
     // core 1 for A57, core 3 for A53 — the original hard-coded picks),
     // falling back to the first on smaller platforms.
@@ -106,7 +101,7 @@ mod tests {
     #[test]
     fn switch_latency_in_paper_range_on_both_kinds() {
         for kind in [CoreKind::A53, CoreKind::A57] {
-            let s = measure(kind, 50, 7);
+            let s = measure(&Scenario::paper(), kind, 50, 7);
             assert!(
                 (2.38e-6..=3.60e-6).contains(&s.mean),
                 "{kind}: mean switch {:.3e}",
@@ -119,8 +114,9 @@ mod tests {
     #[test]
     fn a53_and_a57_similar() {
         // §IV-B1: "the time … on the A53 core or A57 core are similar".
-        let a53 = measure(CoreKind::A53, 30, 8).mean;
-        let a57 = measure(CoreKind::A57, 30, 9).mean;
+        let paper = Scenario::paper();
+        let a53 = measure(&paper, CoreKind::A53, 30, 8).mean;
+        let a57 = measure(&paper, CoreKind::A57, 30, 9).mean;
         let ratio = a53 / a57;
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
     }

@@ -78,18 +78,13 @@ impl SecureService for FullScanService {
 }
 
 /// Measures one (kind, strategy) cell over `rounds` full-kernel scans on
-/// the paper's platform.
-pub fn measure_cell(kind: CoreKind, strategy: ScanStrategy, rounds: usize, seed: u64) -> Table1Row {
-    measure_cell_scenario(&Scenario::paper(), kind, strategy, rounds, seed)
-}
-
-/// [`measure_cell`] on an arbitrary scenario's platform.
+/// `scenario`'s platform.
 ///
 /// # Panics
 ///
 /// Panics if the scenario's platform has no core of `kind` — iterate
 /// `scenario.platform.kinds_present()` to stay safe.
-pub fn measure_cell_scenario(
+pub fn measure_cell(
     scenario: &Scenario,
     kind: CoreKind,
     strategy: ScanStrategy,
@@ -135,21 +130,14 @@ pub fn measure_cell_scenario(
     }
 }
 
-/// The full Table I: all four (kind, strategy) cells on the paper's
-/// platform.
-pub fn run(rounds: usize, seed: u64) -> Vec<Table1Row> {
-    run_scenario(&Scenario::paper(), rounds, seed)
-}
-
-/// [`run`] on an arbitrary scenario: one row per (present core kind,
-/// strategy) pair, so homogeneous platforms produce two rows, not four.
-pub fn run_scenario(scenario: &Scenario, rounds: usize, seed: u64) -> Vec<Table1Row> {
+/// Table I on `scenario`'s platform: one row per (present core kind,
+/// strategy) pair — all four cells on the paper's platform, two on a
+/// homogeneous one.
+pub fn run(scenario: &Scenario, rounds: usize, seed: u64) -> Vec<Table1Row> {
     let mut rows = Vec::new();
     for kind in scenario.platform.kinds_present() {
         for strategy in ScanStrategy::ALL {
-            rows.push(measure_cell_scenario(
-                scenario, kind, strategy, rounds, seed,
-            ));
+            rows.push(measure_cell(scenario, kind, strategy, rounds, seed));
         }
     }
     rows
@@ -161,7 +149,13 @@ mod tests {
 
     #[test]
     fn a53_hash_rate_matches_paper() {
-        let row = measure_cell(CoreKind::A53, ScanStrategy::DirectHash, 10, 3);
+        let row = measure_cell(
+            &Scenario::paper(),
+            CoreKind::A53,
+            ScanStrategy::DirectHash,
+            10,
+            3,
+        );
         // Paper: avg 1.07e-8, min 9.23e-9, max 1.14e-8.
         assert!(
             (0.95e-8..1.2e-8).contains(&row.per_byte.mean),
@@ -174,7 +168,7 @@ mod tests {
 
     #[test]
     fn a57_faster_than_a53_and_hash_cheaper_than_snapshot() {
-        let rows = run(6, 4);
+        let rows = run(&Scenario::paper(), 6, 4);
         let get = |k: CoreKind, s: ScanStrategy| {
             rows.iter()
                 .find(|r| r.kind == k && r.strategy == s)

@@ -1,7 +1,7 @@
 //! The shared error hierarchy for panic-free campaigns.
 //!
 //! Every layer already has a typed error (`MemError`, `HwError`,
-//! `SimError`, `ParseError`); [`SatinError`] aggregates them so fallible
+//! `ParseError`); [`SatinError`] aggregates them so fallible
 //! paths — service boot, campaign workers, injected faults — can return
 //! one structured error instead of aborting the process. The campaign
 //! runner renders these into `SeedOutcome::Failed` rows.
@@ -10,7 +10,6 @@ use crate::inject::FaultError;
 use satin_hw::HwError;
 use satin_mem::MemError;
 use satin_scenario::ParseError;
-use satin_sim::SimError;
 use std::error::Error;
 use std::fmt;
 
@@ -23,8 +22,6 @@ pub enum SatinError {
     Mem(MemError),
     /// A hardware/world-switch operation failed.
     Hw(HwError),
-    /// The simulation engine refused an operation.
-    Sim(SimError),
     /// A scenario or fault-plan descriptor failed to parse.
     Scenario(ParseError),
     /// An injected fault fired (the *expected* failure mode under a
@@ -44,7 +41,6 @@ impl fmt::Display for SatinError {
         match self {
             SatinError::Mem(e) => write!(f, "memory: {e}"),
             SatinError::Hw(e) => write!(f, "hardware: {e}"),
-            SatinError::Sim(e) => write!(f, "simulation: {e}"),
             SatinError::Scenario(e) => write!(f, "scenario: {e}"),
             SatinError::Fault(e) => write!(f, "injected fault: {e}"),
             SatinError::Boot { stage, detail } => write!(f, "boot ({stage}): {detail}"),
@@ -57,7 +53,6 @@ impl Error for SatinError {
         match self {
             SatinError::Mem(e) => Some(e),
             SatinError::Hw(e) => Some(e),
-            SatinError::Sim(e) => Some(e),
             SatinError::Scenario(e) => Some(e),
             SatinError::Fault(e) => Some(e),
             SatinError::Boot { .. } => None,
@@ -74,12 +69,6 @@ impl From<MemError> for SatinError {
 impl From<HwError> for SatinError {
     fn from(e: HwError) -> Self {
         SatinError::Hw(e)
-    }
-}
-
-impl From<SimError> for SatinError {
-    fn from(e: SimError) -> Self {
-        SatinError::Sim(e)
     }
 }
 
@@ -102,8 +91,6 @@ mod tests {
 
     #[test]
     fn display_prefixes_layer() {
-        let e: SatinError = SimError::EventBudgetExhausted { budget: 9 }.into();
-        assert!(e.to_string().starts_with("simulation:"), "{e}");
         let e: SatinError = FaultError::WorkerAbort {
             at: SimTime::from_secs(6),
             attempt: 1,
@@ -119,7 +106,11 @@ mod tests {
 
     #[test]
     fn source_chains_to_layer_error() {
-        let e: SatinError = SimError::EventBudgetExhausted { budget: 9 }.into();
+        let e: SatinError = FaultError::WorkerAbort {
+            at: SimTime::from_secs(6),
+            attempt: 1,
+        }
+        .into();
         assert!(e.source().is_some());
         let e = SatinError::Boot {
             stage: "arm",

@@ -162,11 +162,6 @@ impl ScanWindow {
         &self.observed
     }
 
-    /// Digest of the observed bytes.
-    pub fn observed_digest(&self, algorithm: satin_hash::HashAlgorithm) -> u64 {
-        satin_hash::hash_bytes(algorithm, &self.observed)
-    }
-
     /// Consumes the window, returning the observed bytes.
     pub fn into_observed(self) -> Vec<u8> {
         self.observed

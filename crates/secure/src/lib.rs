@@ -10,13 +10,10 @@
 //!   such cells);
 //! - [`measurement`] — boot-time measurement: hashing the pristine kernel
 //!   areas into an authorized table (§VI-A2);
-//! - [`scanner`] — starting a sequential introspection scan over normal
-//!   memory, producing the [`satin_mem::ScanWindow`] the race resolves on;
 //! - [`tsp`] — the secure payload bookkeeping: per-core invocation counts and
 //!   handler registration.
 
 pub mod measurement;
-pub mod scanner;
 pub mod storage;
 pub mod tsp;
 

@@ -1,7 +1,6 @@
 //! The simulation driver: a clock plus an event queue.
 
-use crate::error::SimError;
-use crate::observe::SimObserver;
+use crate::observe::{Mark, SimObserver};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
@@ -35,7 +34,6 @@ pub struct Simulator<E> {
     now: SimTime,
     queue: EventQueue<E>,
     dispatched: u64,
-    event_budget: u64,
     observer: Option<Box<dyn SimObserver<E>>>,
 }
 
@@ -45,7 +43,6 @@ impl<E> fmt::Debug for Simulator<E> {
             .field("now", &self.now)
             .field("queue", &self.queue)
             .field("dispatched", &self.dispatched)
-            .field("event_budget", &self.event_budget)
             .field("observer", &self.observer.as_ref().map(|_| "installed"))
             .finish()
     }
@@ -58,26 +55,13 @@ impl<E> Default for Simulator<E> {
 }
 
 impl<E> Simulator<E> {
-    /// Default safety cap on dispatched events (5 billion): large enough for
-    /// every experiment in the paper, small enough to catch runaway loops.
-    pub const DEFAULT_EVENT_BUDGET: u64 = 5_000_000_000;
-
-    /// Creates a simulator at time zero with the default event budget.
+    /// Creates a simulator at time zero.
     pub fn new() -> Self {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             dispatched: 0,
-            event_budget: Self::DEFAULT_EVENT_BUDGET,
             observer: None,
-        }
-    }
-
-    /// Creates a simulator with an explicit event budget.
-    pub fn with_event_budget(event_budget: u64) -> Self {
-        Simulator {
-            event_budget,
-            ..Self::new()
         }
     }
 
@@ -115,53 +99,26 @@ impl<E> Simulator<E> {
         self.observer.replace(observer)
     }
 
-    /// Removes and returns the installed observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn SimObserver<E>>> {
-        self.observer.take()
-    }
-
-    /// `true` if an observer is installed.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// Forwards a semantic [`Mark`] to the installed observer at the current
     /// simulated time. With no observer installed this is a no-op, so
     /// components can mark unconditionally without perturbing (or paying
     /// for) anything.
-    pub fn mark(&mut self, mark: crate::observe::Mark) {
+    pub fn mark(&mut self, mark: Mark) {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_mark(self.now, &mark);
         }
     }
 
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ScheduleInPast`] if `at` is before the current
-    /// simulated time. Scheduling *at* the current time is allowed (the event
-    /// dispatches after already-queued events for this instant).
-    pub fn try_schedule_at(&mut self, at: SimTime, event: E) -> Result<(), SimError> {
-        if at < self.now {
-            return Err(SimError::ScheduleInPast {
-                now: self.now,
-                requested: at,
-            });
-        }
-        self.enqueue(at, event);
-        Ok(())
-    }
-
-    /// Schedules `event` at absolute time `at`.
+    /// Schedules `event` at absolute time `at`. Scheduling *at* the current
+    /// time is allowed (the event dispatches after already-queued events for
+    /// this instant).
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past; use [`Simulator::try_schedule_at`] to
-    /// handle that case gracefully.
+    /// Panics if `at` is before the current simulated time.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.try_schedule_at(at, event)
-            .expect("event scheduled in the past");
+        assert!(at >= self.now, "event scheduled in the past");
+        self.enqueue(at, event);
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -190,7 +147,7 @@ impl<E> Simulator<E> {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_dispatched(t, seq, &ev, self.queue.len());
         }
-        ev_into(t, ev)
+        Some((t, ev))
     }
 
     /// Pops the next event only if it fires at or before `deadline`.
@@ -209,37 +166,6 @@ impl<E> Simulator<E> {
             }
         }
     }
-
-    /// Runs `handler` on every event until the queue drains or the handler
-    /// returns `false`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EventBudgetExhausted`] if more than the configured
-    /// event budget dispatches, which almost always indicates a component
-    /// rescheduling itself in a zero-delay loop.
-    pub fn run<F>(&mut self, mut handler: F) -> Result<(), SimError>
-    where
-        F: FnMut(&mut Self, SimTime, E) -> bool,
-    {
-        while let Some((t, ev)) = self.pop() {
-            if self.dispatched > self.event_budget {
-                return Err(SimError::EventBudgetExhausted {
-                    budget: self.event_budget,
-                });
-            }
-            if !handler(self, t, ev) {
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-// Helper so `pop` can return the tuple without fighting the borrow checker in
-// future refactors; kept trivial on purpose.
-fn ev_into<E>(t: SimTime, ev: E) -> Option<(SimTime, E)> {
-    Some((t, ev))
 }
 
 #[cfg(test)]
@@ -261,14 +187,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "event scheduled in the past")]
     fn schedule_in_past_rejected() {
         let mut sim: Simulator<u32> = Simulator::new();
         sim.schedule_at(SimTime::from_nanos(100), 1);
         sim.pop();
-        let err = sim.try_schedule_at(SimTime::from_nanos(10), 2).unwrap_err();
-        assert!(matches!(err, SimError::ScheduleInPast { .. }));
         // Scheduling at exactly `now` is fine.
-        sim.try_schedule_at(SimTime::from_nanos(100), 3).unwrap();
+        sim.schedule_at(SimTime::from_nanos(100), 3);
+        assert_eq!(sim.pending(), 1);
+        sim.schedule_at(SimTime::from_nanos(10), 2);
     }
 
     #[test]
@@ -291,88 +218,15 @@ mod tests {
     }
 
     #[test]
-    fn run_drains_and_counts() {
+    fn pop_drains_and_counts() {
         let mut sim: Simulator<u32> = Simulator::new();
         for i in 0..10 {
             sim.schedule_at(SimTime::from_nanos(i), i as u32);
         }
-        let mut seen = Vec::new();
-        sim.run(|_, _, ev| {
-            seen.push(ev);
-            true
-        })
-        .unwrap();
+        let seen: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, ev)| ev)).collect();
         assert_eq!(seen, (0..10).collect::<Vec<u32>>());
         assert_eq!(sim.dispatched(), 10);
-    }
-
-    #[test]
-    fn run_stops_when_handler_returns_false() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        for i in 0..10 {
-            sim.schedule_at(SimTime::from_nanos(i), i as u32);
-        }
-        let mut count = 0;
-        sim.run(|_, _, _| {
-            count += 1;
-            count < 3
-        })
-        .unwrap();
-        assert_eq!(count, 3);
-        assert_eq!(sim.pending(), 7);
-    }
-
-    #[test]
-    fn event_budget_trips() {
-        let mut sim: Simulator<u32> = Simulator::with_event_budget(100);
-        sim.schedule_at(SimTime::from_nanos(1), 0);
-        let err = sim
-            .run(|sim, _, _| {
-                // Pathological self-rescheduling loop.
-                sim.schedule_after(SimDuration::from_nanos(1), 0);
-                true
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::EventBudgetExhausted { budget: 100 }
-        ));
-    }
-
-    #[test]
-    fn event_budget_boundary_is_inclusive() {
-        // Exactly `budget` dispatches is fine; one more trips the error.
-        for (n, ok) in [(100u64, true), (101, false)] {
-            let mut sim: Simulator<u64> = Simulator::with_event_budget(100);
-            for i in 0..n {
-                sim.schedule_at(SimTime::from_nanos(i), i);
-            }
-            let result = sim.run(|_, _, _| true);
-            assert_eq!(result.is_ok(), ok, "budget 100, {n} events");
-            assert_eq!(sim.dispatched(), n.min(101));
-        }
-    }
-
-    #[test]
-    fn event_budget_error_leaves_queue_intact() {
-        let mut sim: Simulator<u64> = Simulator::with_event_budget(2);
-        for i in 0..5 {
-            sim.schedule_at(SimTime::from_nanos(i), i);
-        }
-        sim.run(|_, _, _| true).unwrap_err();
-        // Events past the budget stay queued for post-mortem inspection.
-        assert_eq!(sim.pending(), 2);
-    }
-
-    #[test]
-    fn observer_install_and_take_roundtrip() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        assert!(!sim.has_observer());
-        let prev = sim.set_observer(Box::new(crate::observe::QueueDepthProbe::default()));
-        assert!(prev.is_none());
-        assert!(sim.has_observer());
-        assert!(sim.take_observer().is_some());
-        assert!(!sim.has_observer());
+        assert_eq!(sim.pending(), 0);
     }
 
     proptest! {
@@ -409,7 +263,7 @@ mod tests {
             for (i, t) in times.iter().enumerate() {
                 sim.schedule_at(SimTime::from_nanos(*t), i);
             }
-            sim.run(|_, _, _| true).unwrap();
+            while sim.pop().is_some() {}
 
             let disp = dispatched.borrow();
             prop_assert_eq!(disp.len(), times.len());
@@ -425,7 +279,7 @@ mod tests {
     }
 
     proptest! {
-        /// Invariant 1: the clock observed by the handler never decreases.
+        /// Invariant 1: the clock observed at each pop never decreases.
         #[test]
         fn prop_clock_monotone(times in proptest::collection::vec(0u64..10_000, 1..300)) {
             let mut sim: Simulator<usize> = Simulator::new();
@@ -433,12 +287,11 @@ mod tests {
                 sim.schedule_at(SimTime::from_nanos(*t), i);
             }
             let mut last = SimTime::ZERO;
-            sim.run(|s, t, _| {
+            while let Some((t, _)) = sim.pop() {
                 assert!(t >= last);
-                assert_eq!(s.now(), t);
+                assert_eq!(sim.now(), t);
                 last = t;
-                true
-            }).unwrap();
+            }
         }
     }
 }

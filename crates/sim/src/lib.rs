@@ -29,7 +29,6 @@
 
 pub mod dist;
 pub mod engine;
-pub mod error;
 pub mod observe;
 pub mod queue;
 pub mod rng;
@@ -37,9 +36,8 @@ pub mod time;
 pub mod trace;
 
 pub use engine::Simulator;
-pub use error::SimError;
-pub use observe::{Mark, MarkTag, QueueDepthProbe, SimObserver};
-pub use queue::{BaselineHeapQueue, EventQueue};
+pub use observe::{Mark, MarkTag, SimObserver};
+pub use queue::EventQueue;
 pub use rng::{RngFactory, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceEvent, TraceLog};

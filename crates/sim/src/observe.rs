@@ -165,62 +165,3 @@ pub trait SimObserver<E> {
         let _ = (at, mark);
     }
 }
-
-/// An observer that counts schedule/dispatch activity and tracks the highest
-/// queue depth seen — the cheapest useful observer, handy as a smoke probe.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct QueueDepthProbe {
-    /// Events accepted into the queue while this probe was installed.
-    pub scheduled: u64,
-    /// Events dispatched while this probe was installed.
-    pub dispatched: u64,
-    /// Highest pending-event count observed.
-    pub max_depth: usize,
-}
-
-impl<E> SimObserver<E> for QueueDepthProbe {
-    fn on_scheduled(&mut self, _at: SimTime, _seq: u64, _event: &E, queue_depth: usize) {
-        self.scheduled += 1;
-        self.max_depth = self.max_depth.max(queue_depth);
-    }
-
-    fn on_dispatched(&mut self, _time: SimTime, _seq: u64, _event: &E, _queue_depth: usize) {
-        self.dispatched += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::Simulator;
-    use crate::time::SimDuration;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[derive(Default)]
-    struct SharedProbe(Rc<RefCell<QueueDepthProbe>>);
-
-    impl<E> SimObserver<E> for SharedProbe {
-        fn on_scheduled(&mut self, at: SimTime, seq: u64, event: &E, depth: usize) {
-            self.0.borrow_mut().on_scheduled(at, seq, event, depth);
-        }
-        fn on_dispatched(&mut self, time: SimTime, seq: u64, event: &E, depth: usize) {
-            self.0.borrow_mut().on_dispatched(time, seq, event, depth);
-        }
-    }
-
-    #[test]
-    fn probe_counts_and_tracks_depth() {
-        let shared = Rc::new(RefCell::new(QueueDepthProbe::default()));
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.set_observer(Box::new(SharedProbe(Rc::clone(&shared))));
-        for i in 0..4 {
-            sim.schedule_after(SimDuration::from_nanos(i), i as u32);
-        }
-        while sim.pop().is_some() {}
-        let probe = shared.borrow();
-        assert_eq!(probe.scheduled, 4);
-        assert_eq!(probe.dispatched, 4);
-        assert_eq!(probe.max_depth, 4);
-    }
-}

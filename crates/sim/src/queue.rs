@@ -1,27 +1,20 @@
 //! Time-ordered event queue with stable FIFO tie-breaking.
 //!
-//! Two implementations share one contract — pop in nondecreasing `(time,
-//! seq)` order, FIFO among equal times:
-//!
-//! - [`EventQueue`] — a hierarchical timing wheel, the hot-path queue the
-//!   engine runs on. Near-term events live in a small sorted run popped from
-//!   the back in O(1); mid-term events hash into a circular bucket wheel
-//!   (one `Vec` per ~4 µs slot) and are sorted only when their slot becomes
-//!   current; far-future events beyond the wheel window sit in a sorted
-//!   overflow level that drains into the wheel as time advances.
-//! - [`BaselineHeapQueue`] — the original `BinaryHeap` implementation, kept
-//!   as the executable reference model. The property tests drive both with
-//!   the same program and assert identical `(time, seq, payload)` pop
-//!   sequences.
+//! [`EventQueue`] pops in nondecreasing `(time, seq)` order, FIFO among
+//! equal times. It is a hierarchical timing wheel: near-term events live in
+//! a small sorted run popped from the back in O(1); mid-term events hash
+//! into a circular bucket wheel (one `Vec` per ~4 µs slot) and are sorted
+//! only when their slot becomes current; far-future events beyond the wheel
+//! window sit in a sorted overflow level that drains into the wheel as time
+//! advances. The property tests check it against a plain `BinaryHeap`
+//! reference model.
 //!
 //! Because every entry carries a unique `(time, seq)` key, the pop order is
 //! a *total* order — any correct implementation produces byte-identical
-//! dispatch sequences, which is why swapping the wheel in cannot perturb a
+//! dispatch sequences, which is why the queue's internals cannot perturb a
 //! golden trace (DESIGN.md §13).
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Nanoseconds per wheel slot, as a shift: 2^12 = 4096 ns ≈ 4 µs. Chosen so
 /// the dense tick/dispatch traffic (tens of µs apart) spreads over a few
@@ -38,8 +31,8 @@ fn slot_of(time: SimTime) -> u64 {
     time.as_nanos() >> BUCKET_SHIFT
 }
 
-/// An entry in the queue. Ordered by `(time, seq)` ascending; the payload
-/// does not participate in ordering, so `E` needs no `Ord` bound.
+/// An entry in the queue, keyed by `(time, seq)`; the payload does not
+/// participate in ordering, so `E` needs no `Ord` bound.
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -50,24 +43,6 @@ impl<E> Entry<E> {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest event first.
-        other.key().cmp(&self.key())
     }
 }
 
@@ -295,84 +270,36 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed queue, retained as the executable
-/// reference model for [`EventQueue`]. Same contract, same API (except
-/// `peek_time`, which stays `&self` here).
-#[derive(Default)]
-pub struct BaselineHeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-}
-
-impl<E> BaselineHeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BaselineHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Enqueues `payload` to fire at `time`.
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    #[must_use = "popping discards the event if the result is unused"]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like `pop`, but also returns the event's sequence number.
-    #[must_use = "popping discards the event if the result is unused"]
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.payload))
-    }
-
-    /// The sequence number the *next* pushed event will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// The time of the earliest pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events, preserving the sequence counter.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> std::fmt::Debug for BaselineHeapQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineHeapQueue")
-            .field("len", &self.heap.len())
-            .field("next_seq", &self.next_seq)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The executable reference model for [`EventQueue`]: a plain
+    /// `BinaryHeap` over `(time, seq, payload)`, popped through `Reverse` so
+    /// the earliest key comes first.
+    #[derive(Default)]
+    struct BaselineHeapQueue {
+        heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+        next_seq: u64,
+    }
+
+    impl BaselineHeapQueue {
+        fn push(&mut self, time: SimTime, payload: usize) {
+            self.heap.push(Reverse((time, self.next_seq, payload)));
+            self.next_seq += 1;
+        }
+
+        fn pop_entry(&mut self) -> Option<(SimTime, u64, usize)> {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((t, _, _))| *t)
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -508,7 +435,7 @@ mod tests {
             ops in proptest::collection::vec(OpStrategy, 0..400)
         ) {
             let mut wheel = EventQueue::new();
-            let mut model = BaselineHeapQueue::new();
+            let mut model = BaselineHeapQueue::default();
             for (step, op) in ops.iter().enumerate() {
                 match op {
                     Op::Push(t) => {
@@ -520,11 +447,11 @@ mod tests {
                     }
                     Op::Clear => {
                         wheel.clear();
-                        model.clear();
+                        model.heap.clear();
                     }
                 }
-                prop_assert_eq!(wheel.len(), model.len());
-                prop_assert_eq!(wheel.next_seq(), model.next_seq());
+                prop_assert_eq!(wheel.len(), model.heap.len());
+                prop_assert_eq!(wheel.next_seq(), model.next_seq);
                 prop_assert_eq!(wheel.peek_time(), model.peek_time());
             }
             // Drain: the tails must match exactly too.

@@ -389,9 +389,9 @@ impl System {
         &mut self.telemetry
     }
 
-    /// Installs a [`SimObserver`] (e.g. a
-    /// [`TelemetrySink`](satin_telemetry::TelemetrySink)) on the underlying
-    /// event engine. Observers are read-only, so this never perturbs a run.
+    /// Installs a [`SimObserver`] (e.g. the happens-before recorder of
+    /// `satin_analyze::attach`) on the underlying event engine. Observers
+    /// are read-only, so this never perturbs a run.
     pub fn set_sim_observer(&mut self, observer: Box<dyn SimObserver<SysEvent>>) {
         self.sim.set_observer(observer);
     }

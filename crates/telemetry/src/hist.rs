@@ -9,7 +9,6 @@
 //! `--jobs 1` and `--jobs N`.
 
 use satin_sim::SimDuration;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Number of buckets in a [`DurationHistogram`]: one zero bucket plus one
@@ -203,57 +202,6 @@ impl fmt::Display for DurationHistogram {
     }
 }
 
-/// A set of named monotonic counters with deterministic (name-sorted)
-/// iteration and element-wise merge.
-///
-/// # Example
-///
-/// ```
-/// use satin_telemetry::CounterSet;
-/// let mut c = CounterSet::new();
-/// c.incr("sim.dispatched", 3);
-/// c.incr("sim.dispatched", 1);
-/// assert_eq!(c.get("sim.dispatched"), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CounterSet {
-    counters: BTreeMap<&'static str, u64>,
-}
-
-impl CounterSet {
-    /// An empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `by` to the counter `name` (creating it at zero).
-    pub fn incr(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry(name).or_insert(0) += by;
-    }
-
-    /// The counter's value (zero if never incremented).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(n, v)| (*n, *v))
-    }
-
-    /// `true` if no counters exist.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// Adds all of `other`'s counters into `self`.
-    pub fn merge(&mut self, other: &CounterSet) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,20 +262,6 @@ mod tests {
         assert_eq!(ab.count(), 3);
         assert_eq!(ab.min(), Some(SimDuration::ZERO));
         assert_eq!(ab.max(), Some(SimDuration::from_micros(1)));
-    }
-
-    #[test]
-    fn counters_merge_and_sort() {
-        let mut a = CounterSet::new();
-        a.incr("b", 2);
-        a.incr("a", 1);
-        let mut b = CounterSet::new();
-        b.incr("b", 3);
-        b.incr("c", 4);
-        a.merge(&b);
-        let got: Vec<_> = a.iter().collect();
-        assert_eq!(got, vec![("a", 1), ("b", 5), ("c", 4)]);
-        assert_eq!(a.get("missing"), 0);
     }
 
     #[test]

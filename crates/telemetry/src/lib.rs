@@ -10,16 +10,13 @@
 //!
 //! - [`Timeline`] records hierarchical **spans** ([`SpanId`], enter/exit in
 //!   sim-time, parent links) and instant events on per-core tracks;
-//! - [`DurationHistogram`] and [`CounterSet`] are fixed-shape aggregates
-//!   with **deterministic merge**: merging per-worker copies in any order
-//!   yields bit-identical results, so parallel campaign runners aggregate
-//!   identically for any `--jobs` count;
+//! - [`DurationHistogram`] is a fixed-shape aggregate with **deterministic
+//!   merge**: merging per-worker copies in any order yields bit-identical
+//!   results, so parallel campaign runners aggregate identically for any
+//!   `--jobs` count;
 //! - [`export`] renders a timeline as Chrome `trace_event` JSON (loadable
 //!   in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)) or as a
-//!   line-delimited JSONL event stream;
-//! - [`TelemetrySink`] is a [`satin_sim::SimObserver`] that aggregates the
-//!   engine's schedule/dispatch points (event counters, inter-dispatch gap
-//!   histogram, peak queue depth) without perturbing the simulation.
+//!   line-delimited JSONL event stream.
 //!
 //! Everything here is *pure observation*: recording consumes no randomness
 //! and schedules no events, so enabling telemetry can never change an
@@ -27,10 +24,8 @@
 
 pub mod export;
 pub mod hist;
-pub mod sink;
 pub mod span;
 
 pub use export::{chrome_trace, json_escape, jsonl_events};
-pub use hist::{CounterSet, DurationHistogram};
-pub use sink::{SinkProbe, SinkState, TelemetrySink};
+pub use hist::DurationHistogram;
 pub use span::{InstantRecord, SpanId, SpanRecord, Timeline, TrackId};
