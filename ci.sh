@@ -8,6 +8,13 @@ cd "$(dirname "$0")"
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== build (frozen benchmark) =="
+# perfbench/ is its own workspace over the library crates by path: a library
+# change that breaks its build, or that would rewrite its lockfile (--locked
+# refuses), fails here rather than in the benchmark run. Writes only to the
+# gitignored perfbench/target.
+cargo build -q --offline --locked --release --manifest-path perfbench/Cargo.toml
+
 echo "== tests =="
 cargo test -q --workspace
 

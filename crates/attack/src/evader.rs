@@ -1,10 +1,11 @@
 //! Full TZ-Evader deployment: prober + rootkit, wired through the channel.
 
 use crate::channel::EvaderChannel;
-use crate::kprober::{deploy_kprober_i, deploy_kprober_ii, deploy_user_prober, ProberVariant};
+use crate::kprober::deploy_prober;
 use crate::prober::{ProberConfig, ProberShared};
 use crate::rootkit::{deploy_rootkit, RootkitConfig, RootkitHandle};
 use satin_hw::CoreId;
+use satin_scenario::{AttackProfile, ProberKind, Scenario};
 use satin_sim::SimTime;
 use satin_system::System;
 
@@ -12,7 +13,7 @@ use satin_system::System;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TzEvaderConfig {
     /// Which prober implementation carries the side channel.
-    pub prober: ProberVariant,
+    pub prober: ProberKind,
     /// Prober cadence/threshold/targets.
     pub prober_config: ProberConfig,
     /// The core the rootkit's recovery thread is pinned to (§IV-C analyzes
@@ -25,36 +26,19 @@ pub struct TzEvaderConfig {
 }
 
 impl TzEvaderConfig {
-    /// The paper's strongest configuration: KProber-II at 200 µs with the
-    /// 1.8 ms learned threshold, recovery on A53 core 3.
+    /// The paper's strongest configuration, the `juno-r1` attacker:
+    /// KProber-II at 200 µs with the 1.8 ms learned threshold, recovery on
+    /// A53 core 3.
     pub fn paper_default() -> Self {
-        TzEvaderConfig {
-            prober: ProberVariant::KProberII,
-            prober_config: ProberConfig::paper_kprober(),
-            recovery_core: CoreId::new(3),
-            rootkit: RootkitConfig::default(),
-            start: SimTime::ZERO,
-        }
+        Self::from_profile(&Scenario::paper().attack)
     }
 
-    /// The configuration a scenario's attack profile describes. All-cores
-    /// probing and default rootkit behaviour, like the paper's evaluation;
-    /// `from_profile(&Scenario::paper().attack)` equals
-    /// [`TzEvaderConfig::paper_default`] exactly.
-    pub fn from_profile(profile: &satin_scenario::AttackProfile) -> Self {
-        use crate::prober::ProbeTargets;
-        use satin_scenario::ProberKind;
+    /// The configuration a scenario's attack profile describes: all-cores
+    /// probing and default rootkit behaviour, like the paper's evaluation.
+    pub fn from_profile(profile: &AttackProfile) -> Self {
         TzEvaderConfig {
-            prober: match profile.prober {
-                ProberKind::UserLevel => ProberVariant::UserLevel,
-                ProberKind::KProberI => ProberVariant::KProberI,
-                ProberKind::KProberII => ProberVariant::KProberII,
-            },
-            prober_config: ProberConfig {
-                sleep: profile.sleep,
-                threshold: profile.threshold,
-                targets: ProbeTargets::AllCores,
-            },
+            prober: profile.prober,
+            prober_config: ProberConfig::from_profile(profile),
             recovery_core: CoreId::new(profile.recovery_core),
             rootkit: RootkitConfig::default(),
             start: SimTime::ZERO,
@@ -78,17 +62,13 @@ impl TzEvader {
     pub fn deploy(sys: &mut System, config: TzEvaderConfig) -> TzEvader {
         let channel = EvaderChannel::new();
         let prober = ProberShared::with_channel(channel.clone());
-        match config.prober {
-            ProberVariant::UserLevel => {
-                deploy_user_prober(sys, config.prober_config, &prober, config.start);
-            }
-            ProberVariant::KProberI => {
-                deploy_kprober_i(sys, config.prober_config, &prober, config.start);
-            }
-            ProberVariant::KProberII => {
-                deploy_kprober_ii(sys, config.prober_config, &prober, config.start);
-            }
-        }
+        deploy_prober(
+            sys,
+            config.prober,
+            config.prober_config,
+            &prober,
+            config.start,
+        );
         let (_, rootkit) = deploy_rootkit(
             sys,
             config.recovery_core,
@@ -117,24 +97,13 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
-    fn paper_profile_equals_paper_default() {
-        // The juno-r1 scenario's attack profile must describe the exact
-        // paper configuration — down to the nanosecond, since golden traces
-        // depend on it (`SimDuration::from_secs_f64` rounds up, so the
-        // profile stores durations, not float seconds).
-        let from_profile = TzEvaderConfig::from_profile(&satin_scenario::Scenario::paper().attack);
-        assert_eq!(from_profile, TzEvaderConfig::paper_default());
-    }
-
-    #[test]
     fn profile_variants_map_through() {
-        use satin_scenario::ProberKind;
-        let mut profile = satin_scenario::Scenario::paper().attack;
+        let mut profile = Scenario::paper().attack;
         profile.prober = ProberKind::UserLevel;
         profile.threshold = None;
         profile.recovery_core = 5;
         let cfg = TzEvaderConfig::from_profile(&profile);
-        assert_eq!(cfg.prober, ProberVariant::UserLevel);
+        assert_eq!(cfg.prober, ProberKind::UserLevel);
         assert_eq!(cfg.prober_config.threshold, None);
         assert_eq!(cfg.recovery_core, CoreId::new(5));
     }

@@ -14,18 +14,23 @@ use crate::prober::{deploy_prober_threads, ProberConfig, ProberShared};
 use satin_hw::CoreId;
 use satin_kernel::vector::{VectorSlot, VectorTable};
 use satin_kernel::{Affinity, SchedClass, TaskId};
+use satin_scenario::ProberKind;
 use satin_sim::{MarkTag, SimDuration, SimTime, TraceCategory};
 use satin_system::{RunCtx, RunOutcome, System, TickHook};
 
-/// Which prober implementation to deploy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProberVariant {
-    /// User-level CFS prober.
-    UserLevel,
-    /// Timer-interrupt injection (vector-table hijack + tick hook).
-    KProberI,
-    /// Real-time scheduler prober.
-    KProberII,
+/// Deploys the prober implementation `kind` names.
+pub fn deploy_prober(
+    sys: &mut System,
+    kind: ProberKind,
+    config: ProberConfig,
+    shared: &ProberShared,
+    start: SimTime,
+) -> Vec<TaskId> {
+    match kind {
+        ProberKind::UserLevel => deploy_user_prober(sys, config, shared, start),
+        ProberKind::KProberI => deploy_kprober_i(sys, config, shared, start),
+        ProberKind::KProberII => deploy_kprober_ii(sys, config, shared, start),
+    }
 }
 
 /// Deploys the user-level prober (CFS threads).
@@ -173,27 +178,17 @@ mod tests {
     fn kprober_i_vs_ii_probing_granularity() {
         // KProber-II probes every 200µs; KProber-I only at the 4ms tick.
         // Over the same second, KProber-II must make far more observations.
-        let run = |variant: ProberVariant| {
+        let run = |variant: ProberKind| {
             let mut sys = SystemBuilder::new().seed(4).trace(false).build();
             let shared = ProberShared::new();
             let cfg =
                 ProberConfig::measurement(SimDuration::from_micros(200), ProbeTargets::AllCores);
-            match variant {
-                ProberVariant::KProberI => {
-                    deploy_kprober_i(&mut sys, cfg, &shared, SimTime::ZERO);
-                }
-                ProberVariant::KProberII => {
-                    deploy_kprober_ii(&mut sys, cfg, &shared, SimTime::ZERO);
-                }
-                ProberVariant::UserLevel => {
-                    deploy_user_prober(&mut sys, cfg, &shared, SimTime::ZERO);
-                }
-            }
+            deploy_prober(&mut sys, variant, cfg, &shared, SimTime::ZERO);
             sys.run_until(SimTime::from_millis(500));
             shared.observations()
         };
-        let i = run(ProberVariant::KProberI);
-        let ii = run(ProberVariant::KProberII);
+        let i = run(ProberKind::KProberI);
+        let ii = run(ProberKind::KProberII);
         assert!(ii > 5 * i, "KProber-II {ii} vs KProber-I {i}");
     }
 

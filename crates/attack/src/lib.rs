@@ -17,8 +17,7 @@
 //! - [`evader`]: full TZ-Evader deployment onto a [`satin_system::System`];
 //! - [`predictor`]: the schedule-predicting evader that random wake-up
 //!   (§V-C) defends against;
-//! - [`race`]: the paper's Equation 1/2 race-condition analytics (§IV-C);
-//! - [`threshold`]: threshold learning (§VII-B).
+//! - [`race`]: the paper's Equation 1/2 race-condition analytics (§IV-C).
 
 pub mod channel;
 pub mod evader;
@@ -27,7 +26,6 @@ pub mod predictor;
 pub mod prober;
 pub mod race;
 pub mod rootkit;
-pub mod threshold;
 
 pub use channel::EvaderChannel;
 pub use evader::{TzEvader, TzEvaderConfig};

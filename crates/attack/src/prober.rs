@@ -46,12 +46,17 @@ pub struct ProberConfig {
 }
 
 impl ProberConfig {
-    /// The paper's KProber configuration: 200 µs cadence, 1.8 ms threshold,
-    /// all cores.
+    /// The paper's KProber configuration: the `juno-r1` attacker's cadence
+    /// (200 µs) and learned threshold (1.8 ms), all cores.
     pub fn paper_kprober() -> Self {
+        Self::from_profile(&satin_scenario::Scenario::paper().attack)
+    }
+
+    /// The all-cores prober an attack profile describes.
+    pub(crate) fn from_profile(profile: &satin_scenario::AttackProfile) -> Self {
         ProberConfig {
-            sleep: SimDuration::from_micros(200),
-            threshold: Some(SimDuration::from_secs_f64(1.8e-3)),
+            sleep: profile.sleep,
+            threshold: profile.threshold,
             targets: ProbeTargets::AllCores,
         }
     }
@@ -270,7 +275,7 @@ pub fn measure_round(seed: u64, period: SimDuration, targets: ProbeTargets) -> f
         .trace(false)
         .build();
     let shared = ProberShared::new();
-    let config = ProberConfig::measurement(SimDuration::from_micros(200), targets);
+    let config = ProberConfig::measurement(ProberConfig::paper_kprober().sleep, targets);
     deploy_prober_threads(
         &mut sys,
         SchedClass::rt_max(),

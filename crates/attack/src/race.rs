@@ -12,6 +12,7 @@
 //! full-kernel introspection — the motivation for SATIN's area division.
 
 use satin_hw::TimingModel;
+use satin_scenario::{AttackProfile, Scenario};
 
 /// Worst-case constants of the two-world race.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,25 +32,22 @@ pub struct RaceParams {
 impl RaceParams {
     /// The worst case for TZ-Evader the paper analyzes in §IV-C:
     /// introspection on an A57 core at its fastest rate; recovery on an A53
-    /// core at its slowest.
+    /// core at its slowest — [`RaceParams::from_timing`] over the `juno-r1`
+    /// platform and attacker.
     pub fn paper_worst_case() -> Self {
-        RaceParams {
-            ts_switch: 3.60e-6,
-            ts_1byte: 6.67e-9,
-            tns_sched: 2e-4,
-            tns_threshold: 1.80e-3,
-            tns_recover: 6.13e-3,
-        }
+        let sc = Scenario::paper();
+        Self::from_timing(&sc.platform.timing_model(), &sc.attack)
     }
 
-    /// Derives the worst-case parameters from a timing model (same numbers
-    /// as [`RaceParams::paper_worst_case`] for the calibrated model).
-    pub fn from_timing(timing: &TimingModel, tns_threshold: f64) -> Self {
+    /// Derives the worst-case parameters from a timing model and the
+    /// attacker: `Tns_sched` is the prober's cadence, `Tns_threshold` its
+    /// learned threshold (zero in measurement-only mode).
+    pub fn from_timing(timing: &TimingModel, attack: &AttackProfile) -> Self {
         RaceParams {
             ts_switch: timing.max_ts_switch_secs(),
             ts_1byte: timing.fastest_hash_rate().secs_per_byte(),
-            tns_sched: 2e-4,
-            tns_threshold,
+            tns_sched: attack.sleep.as_secs_f64(),
+            tns_threshold: attack.threshold.unwrap_or_default().as_secs_f64(),
             tns_recover: timing.slowest_recover_secs(),
         }
     }
@@ -67,15 +65,15 @@ impl RaceParams {
     /// scanned by A53 cores. Use this variant to size areas for a true
     /// guarantee (≈544 KB on the calibrated model).
     pub fn defender_guaranteed(timing: &TimingModel) -> Self {
-        let slowest_scan = timing.a53.hash_1byte.max().max(timing.a57.hash_1byte.max());
-        let fastest_recover = timing.a53.recover.min().min(timing.a57.recover.min());
+        let slowest_scan = timing.a53.hash_1byte.max.max(timing.a57.hash_1byte.max);
+        let fastest_recover = timing.a53.recover.min.min(timing.a57.recover.min);
         RaceParams {
             // Attacker reacts as early as possible: minimal switch cost…
             ts_switch: timing.ts_switch.lo(),
             ts_1byte: slowest_scan,
-            // …no scheduling slack beyond the threshold itself…
+            // …no scheduling slack beyond the paper's threshold itself…
             tns_sched: 0.0,
-            tns_threshold: 1.8e-3,
+            tns_threshold: Self::paper_worst_case().tns_threshold,
             // …and the fastest possible recovery.
             tns_recover: fastest_recover,
         }
@@ -155,16 +153,19 @@ mod tests {
 
     #[test]
     fn from_timing_matches_paper() {
-        let t = TimingModel::paper_calibrated();
-        let p = RaceParams::from_timing(&t, 1.80e-3);
-        let q = RaceParams::paper_worst_case();
-        assert!((p.ts_switch - q.ts_switch).abs() < 1e-12);
-        assert!((p.ts_1byte - q.ts_1byte).abs() < 1e-15);
-        assert!((p.tns_recover - q.tns_recover).abs() < 1e-9);
-        assert_eq!(
-            p.protected_prefix_bytes() / 1000,
-            q.protected_prefix_bytes() / 1000
-        );
+        // §IV-C's worst-case constants, exactly.
+        let p = RaceParams::paper_worst_case();
+        assert_eq!(p.ts_switch, 3.60e-6);
+        assert_eq!(p.ts_1byte, 6.67e-9);
+        assert_eq!(p.tns_sched, 2e-4);
+        assert_eq!(p.tns_threshold, 1.80e-3);
+        assert_eq!(p.tns_recover, 6.13e-3);
+        // Measurement-only attackers have no threshold term.
+        let mut attack = Scenario::paper().attack;
+        attack.threshold = None;
+        let q = RaceParams::from_timing(&TimingModel::paper_calibrated(), &attack);
+        assert_eq!(q.tns_threshold, 0.0);
+        assert!(q.protected_prefix_bytes() < p.protected_prefix_bytes());
     }
 
     #[test]

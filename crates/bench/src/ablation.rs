@@ -12,7 +12,7 @@ use satin_attack::prober::{probing_threshold_campaign, ProbeTargets};
 use satin_attack::race::RaceParams;
 use satin_attack::{TzEvader, TzEvaderConfig};
 use satin_core::baseline::{BaselineConfig, NaiveIntrospection};
-use satin_core::satin::AreaPolicy;
+use satin_core::satin::{build_plan, AreaPolicy};
 use satin_core::SatinConfig;
 use satin_hw::CoreId;
 use satin_sim::{SimDuration, SimTime};
@@ -105,7 +105,7 @@ fn satin_vs_evader_on(
 ) -> DefenseOutcome {
     satin_cfg.tgoal = tgoal;
     let layout = satin_mem::KernelLayout::paper();
-    let plan = satin_cfg.build_plan(&layout).expect("plan");
+    let plan = build_plan(&satin_cfg, &layout).expect("plan");
     let target_area = plan
         .area_of(layout.syscall_entry_addr(satin_mem::layout::GETTID_NR))
         .expect("gettid inside plan");
@@ -159,7 +159,7 @@ pub fn area_size_sweep(
             cfg.enforce_safety = false; // the sweep intentionally violates it
                                         // Skip infeasible points: greedy cannot split a single section,
                                         // so bounds below the largest section (811,080 B) are unusable.
-            let Ok(plan) = cfg.build_plan(&satin_mem::KernelLayout::paper()) else {
+            let Ok(plan) = build_plan(&cfg, &satin_mem::KernelLayout::paper()) else {
                 return None;
             };
             let analytic = protected_fraction(&plan);
@@ -201,12 +201,12 @@ pub fn preemption_ablation(
     let run = |preemptive: bool, seed: u64| {
         let (routing, defense) = if preemptive {
             (
-                satin_hw::gic::RoutingConfig::preemptive(),
+                satin_hw::RoutingKind::Preemptive,
                 format!("preemptive secure world (irq load {interrupt_load})"),
             )
         } else {
             (
-                satin_hw::gic::RoutingConfig::satin(),
+                satin_hw::RoutingKind::Satin,
                 "non-preemptive (SATIN's SCR_EL3.IRQ=0)".to_string(),
             )
         };
@@ -248,7 +248,7 @@ pub fn core_count_sweep(
             let platform = satin_hw::Platform::new(
                 satin_hw::Topology::homogeneous(satin_hw::CoreKind::A53, n),
                 satin_hw::TimingModel::paper_calibrated(),
-                satin_hw::gic::RoutingConfig::satin(),
+                satin_hw::RoutingKind::Satin,
             );
             let sys = SystemBuilder::new()
                 .seed(seed.wrapping_add(n as u64))
@@ -279,7 +279,7 @@ pub fn core_count_sweep(
 /// such trace. Returns `(vector_area_alarms, syscall_area_alarms)` per
 /// variant.
 pub fn kprober_trace_detection(
-    variant: satin_attack::kprober::ProberVariant,
+    variant: satin_scenario::ProberKind,
     rounds: usize,
     tgoal: SimDuration,
     seed: u64,
@@ -395,15 +395,15 @@ mod tests {
 
     #[test]
     fn kprober_i_betrays_itself_to_satin() {
-        use satin_attack::kprober::ProberVariant;
+        use satin_scenario::ProberKind;
         // KProber-I: the hijacked vector entry sits in area 0 and is caught
         // on every area-0 round.
         let (vec1, _) =
-            kprober_trace_detection(ProberVariant::KProberI, 40, SimDuration::from_secs(10), 73);
+            kprober_trace_detection(ProberKind::KProberI, 40, SimDuration::from_secs(10), 73);
         assert!(vec1 >= 1, "SATIN missed KProber-I's vector hijack");
         // KProber-II leaves no kernel-text trace: area 0 stays clean.
         let (vec2, _) =
-            kprober_trace_detection(ProberVariant::KProberII, 40, SimDuration::from_secs(10), 74);
+            kprober_trace_detection(ProberKind::KProberII, 40, SimDuration::from_secs(10), 74);
         assert_eq!(vec2, 0, "false alarm on KProber-II");
     }
 

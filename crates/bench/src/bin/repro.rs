@@ -690,7 +690,7 @@ fn run_telemetry(o: &Opts, run: &mut Run) {
 }
 
 fn run_kprober_trace(o: &Opts) {
-    use satin_attack::kprober::ProberVariant;
+    use satin_scenario::ProberKind;
     let rounds = if o.full { 120 } else { 40 };
     println!("== §III-C1: KProber-I's own traces vs SATIN ==");
     println!("   (the hijacked IRQ vector entry lives in monitored area 0)");
@@ -703,8 +703,8 @@ fn run_kprober_trace(o: &Opts) {
         t.align(c, Align::Right);
     }
     for (variant, label) in [
-        (ProberVariant::KProberI, "KProber-I"),
-        (ProberVariant::KProberII, "KProber-II"),
+        (ProberKind::KProberI, "KProber-I"),
+        (ProberKind::KProberII, "KProber-II"),
     ] {
         let (vec_alarms, sys_alarms) =
             ablation::kprober_trace_detection(variant, rounds, SimDuration::from_secs(10), o.seed);
@@ -850,7 +850,7 @@ fn run_threshold(o: &Opts) {
 }
 
 fn run_userprober(o: &Opts) {
-    use satin_attack::kprober::ProberVariant;
+    use satin_scenario::ProberKind;
     let trials = if o.full { 20 } else { 5 };
     println!("== §III-B1: user-level prober capability ({trials} scans/config) ==");
     println!("   paper: Tns_delay < 5.97e-3 s while one kernel check takes 8.04e-2 s");
@@ -865,8 +865,8 @@ fn run_userprober(o: &Opts) {
         t.align(c, Align::Right);
     }
     for (variant, label) in [
-        (ProberVariant::UserLevel, "user-level"),
-        (ProberVariant::KProberII, "KProber-II"),
+        (ProberKind::UserLevel, "user-level"),
+        (ProberKind::KProberII, "KProber-II"),
     ] {
         for load in [0usize, 18] {
             let r = userprober::measure(userprober::UserProberConfig {

@@ -52,7 +52,7 @@ impl DetectionConfig {
     pub fn paper(seed: u64) -> Self {
         DetectionConfig {
             rounds: 190,
-            tgoal: SimDuration::from_secs(152),
+            tgoal: SatinConfig::paper().tgoal,
             seed,
             trace: false,
             telemetry: false,
@@ -208,7 +208,7 @@ pub fn try_run_scenario(
     config: DetectionConfig,
     attempt: u32,
 ) -> Result<DetectionResult, SatinError> {
-    let mut satin_cfg = SatinConfig::from_profile(&scenario.defense);
+    let mut satin_cfg = scenario.defense;
     satin_cfg.tgoal = config.tgoal;
     let sys = SystemBuilder::new()
         .seed(config.seed)

@@ -16,7 +16,6 @@
 use crate::detection::Cell;
 use crate::runner::{MetricsReport, SeedOutcome};
 use satin_attack::TzEvaderConfig;
-use satin_core::SatinConfig;
 use satin_scenario::Scenario;
 use satin_sim::{SimDuration, SimTime, TraceLog};
 use satin_stats::hist::render_count_rows;
@@ -268,7 +267,7 @@ pub fn run_traced_race_scenario(
     seed: u64,
     horizon: SimDuration,
 ) -> TracedRace {
-    let mut cfg = SatinConfig::from_profile(&scenario.defense);
+    let mut cfg = scenario.defense;
     cfg.tgoal = SimDuration::from_secs(19); // tp = 1 s over 19 areas
     let sys = SystemBuilder::new()
         .seed(seed)

@@ -76,9 +76,13 @@ pub fn measure(threshold_secs: f64, seed: u64) -> ThresholdPoint {
 
 /// Sweeps thresholds expressed as multiples of the paper's learned 1.8e-3.
 pub fn sweep(factors: &[f64], seed: u64) -> Vec<ThresholdPoint> {
+    let learned = ProberConfig::paper_kprober()
+        .threshold
+        .expect("the paper's attacker has a learned threshold")
+        .as_secs_f64();
     factors
         .iter()
-        .map(|f| measure(1.8e-3 * f, seed.wrapping_add((f * 100.0) as u64)))
+        .map(|f| measure(learned * f, seed.wrapping_add((f * 100.0) as u64)))
         .collect()
 }
 

@@ -11,12 +11,13 @@
 //! effects: detection delay per prober variant, idle and under CPU load.
 
 use satin_attack::channel::EvaderChannel;
-use satin_attack::kprober::{deploy_kprober_ii, deploy_user_prober, ProberVariant};
+use satin_attack::kprober::deploy_prober;
 use satin_attack::prober::{ProberConfig, ProberShared};
 use satin_hw::timing::ScanStrategy;
 use satin_hw::CoreId;
 use satin_kernel::{Affinity, SchedClass};
 use satin_mem::MemRange;
+use satin_scenario::ProberKind;
 use satin_sim::{SimDuration, SimTime};
 use satin_stats::Summary;
 use satin_system::{
@@ -29,7 +30,7 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UserProberConfig {
     /// Prober implementation under test.
-    pub variant: ProberVariant,
+    pub variant: ProberKind,
     /// Number of competing CFS spinner tasks (0 = idle system).
     pub load_tasks: usize,
     /// Introspection rounds to sample.
@@ -105,17 +106,7 @@ pub fn measure(config: UserProberConfig) -> UserProberResult {
     let channel = EvaderChannel::new();
     let shared = ProberShared::with_channel(channel.clone());
     let cfg = ProberConfig::paper_kprober();
-    match config.variant {
-        ProberVariant::UserLevel => {
-            deploy_user_prober(&mut sys, cfg, &shared, SimTime::ZERO);
-        }
-        ProberVariant::KProberII => {
-            deploy_kprober_ii(&mut sys, cfg, &shared, SimTime::ZERO);
-        }
-        ProberVariant::KProberI => {
-            satin_attack::kprober::deploy_kprober_i(&mut sys, cfg, &shared, SimTime::ZERO);
-        }
-    }
+    deploy_prober(&mut sys, config.variant, cfg, &shared, SimTime::ZERO);
 
     // The introspection: full-kernel scans every 300 ms on a fixed A53 core
     // (the paper's "typical TrustZone-based kernel integrity checking").
@@ -174,7 +165,7 @@ mod tests {
     fn user_prober_detects_well_within_the_check() {
         // §III-B1: Tns_delay ≪ the 8e-2..1.3e-1 s kernel check duration.
         let r = measure(UserProberConfig {
-            variant: ProberVariant::UserLevel,
+            variant: ProberKind::UserLevel,
             load_tasks: 0,
             trials: 5,
             seed: 81,
@@ -195,13 +186,13 @@ mod tests {
     #[test]
     fn load_hurts_user_prober_but_not_kprober() {
         let user_loaded = measure(UserProberConfig {
-            variant: ProberVariant::UserLevel,
+            variant: ProberKind::UserLevel,
             load_tasks: 18, // three runnable CFS tasks per core
             trials: 5,
             seed: 82,
         });
         let kprober_loaded = measure(UserProberConfig {
-            variant: ProberVariant::KProberII,
+            variant: ProberKind::KProberII,
             load_tasks: 18,
             trials: 5,
             seed: 82,

@@ -30,7 +30,6 @@ pub mod golden;
 pub mod integrity;
 pub mod queue;
 pub mod satin;
-pub mod sync;
 
 pub use areas::{Area, AreaPlan, KernelAreaSet};
 pub use error::PlanError;

@@ -5,138 +5,48 @@ use crate::areas::{max_safe_area_size, AreaPlan, KernelAreaSet};
 use crate::error::PlanError;
 use crate::integrity::{Alarm, AreaCoverage, IntegrityChecker};
 use crate::queue::WakeQueue;
-use satin_hash::HashAlgorithm;
-use satin_hw::timing::ScanStrategy;
 use satin_hw::{CoreId, TimingModel, World};
 use satin_mem::KernelLayout;
 use satin_secure::SecureStorage;
-use satin_sim::{SimDuration, SimTime};
+use satin_sim::SimTime;
 use satin_system::{BootCtx, SatinError, ScanRequest, SecureCtx, SecureService};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Which cores perform introspection rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorePolicy {
-    /// Every core takes turns in a random, queue-coordinated order (§V-D) —
-    /// the design the paper adopts.
-    AllRandom,
-    /// Only one fixed core introspects — the predictable-affinity ablation
-    /// that §IV-B2 shows is ~4× easier to probe.
-    Fixed(CoreId),
+pub use satin_scenario::{AreaPolicy, CorePolicy, SatinConfig};
+
+/// Builds the area plan `config` implies for `layout`.
+///
+/// # Errors
+///
+/// Propagates [`PlanError`] from greedy packing.
+pub fn build_plan(config: &SatinConfig, layout: &KernelLayout) -> Result<AreaPlan, PlanError> {
+    match config.area_policy {
+        AreaPolicy::Segments => Ok(AreaPlan::from_segments(layout)),
+        AreaPolicy::Greedy { max_size } => AreaPlan::greedy(layout, max_size),
+        AreaPolicy::Monolithic => Ok(AreaPlan::monolithic(layout)),
+    }
 }
 
-/// How the kernel is divided into areas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AreaPolicy {
-    /// One area per `System.map` segment (the paper's 19 areas).
-    Segments,
-    /// Greedy packing under an explicit bound (ablation).
-    Greedy {
-        /// Maximum area size in bytes.
-        max_size: u64,
-    },
-    /// One monolithic area (the insecure baseline; fails safety validation).
-    Monolithic,
-}
-
-/// SATIN configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SatinConfig {
-    /// Full-coverage goal `Tgoal`; `tp = Tgoal / m` (§V-C).
-    pub tgoal: SimDuration,
-    /// Digest algorithm (djb2 in the paper).
-    pub algorithm: HashAlgorithm,
-    /// Scan strategy (direct hash in the paper; Table I's comparison).
-    pub strategy: ScanStrategy,
-    /// Randomize wake intervals with `td ∈ [−tp, tp]`?
-    pub randomize_wake: bool,
-    /// Core selection policy.
-    pub core_policy: CorePolicy,
-    /// Area division policy.
-    pub area_policy: AreaPolicy,
-    /// Assumed attacker probing delay `Tns_delay` for the safety bound
-    /// (the paper uses `Tns_sched + Tns_threshold = 2e-4 + 1.8e-3`).
-    pub tns_delay_secs: f64,
-    /// Refuse to boot if any area exceeds the safety bound.
-    pub enforce_safety: bool,
-    /// On an alarm, repair the tampered area's invariant sections from a
-    /// boot-time golden copy (an RKP-style extension beyond the paper's
-    /// report-only SATIN; costs ~3.5 MB of secure memory).
-    pub remediate: bool,
-}
-
-impl SatinConfig {
-    /// The paper's evaluated configuration: `Tgoal = 152 s` (tp = 8 s over
-    /// 19 areas), djb2, direct hash, randomized wake, all cores.
-    pub fn paper() -> Self {
-        SatinConfig {
-            tgoal: SimDuration::from_secs(152),
-            algorithm: HashAlgorithm::Djb2,
-            strategy: ScanStrategy::DirectHash,
-            randomize_wake: true,
-            core_policy: CorePolicy::AllRandom,
-            area_policy: AreaPolicy::Segments,
-            tns_delay_secs: 2e-4 + 1.8e-3,
-            enforce_safety: true,
-            remediate: false,
-        }
+/// Validates `config` against a layout and timing model without building
+/// the service.
+///
+/// # Errors
+///
+/// [`PlanError`] describing the violated constraint.
+pub fn validate(
+    config: &SatinConfig,
+    layout: &KernelLayout,
+    timing: &TimingModel,
+) -> Result<(), PlanError> {
+    let plan = build_plan(config, layout)?;
+    if config.enforce_safety {
+        let bound = max_safe_area_size(timing, config.tns_delay_secs);
+        plan.validate(bound)?;
+    } else if plan.is_empty() {
+        return Err(PlanError::EmptyPlan);
     }
-
-    /// The configuration a scenario's defense profile describes.
-    /// `from_profile(&Scenario::paper().defense)` equals [`SatinConfig::paper`]
-    /// exactly — the juno-r1 profile is the source of the paper defaults.
-    pub fn from_profile(profile: &satin_scenario::DefenseProfile) -> Self {
-        use satin_scenario::{AreaPolicySpec, CorePolicySpec};
-        SatinConfig {
-            tgoal: profile.tgoal,
-            algorithm: profile.algorithm,
-            strategy: profile.strategy,
-            randomize_wake: profile.randomize_wake,
-            core_policy: match profile.core_policy {
-                CorePolicySpec::AllRandom => CorePolicy::AllRandom,
-                CorePolicySpec::Fixed(core) => CorePolicy::Fixed(CoreId::new(core)),
-            },
-            area_policy: match profile.area_policy {
-                AreaPolicySpec::Segments => AreaPolicy::Segments,
-                AreaPolicySpec::Greedy(max_size) => AreaPolicy::Greedy { max_size },
-                AreaPolicySpec::Monolithic => AreaPolicy::Monolithic,
-            },
-            tns_delay_secs: profile.tns_delay_secs,
-            enforce_safety: profile.enforce_safety,
-            remediate: profile.remediate,
-        }
-    }
-
-    /// Builds the area plan this configuration implies for `layout`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from greedy packing.
-    pub fn build_plan(&self, layout: &KernelLayout) -> Result<AreaPlan, PlanError> {
-        match self.area_policy {
-            AreaPolicy::Segments => Ok(AreaPlan::from_segments(layout)),
-            AreaPolicy::Greedy { max_size } => AreaPlan::greedy(layout, max_size),
-            AreaPolicy::Monolithic => Ok(AreaPlan::monolithic(layout)),
-        }
-    }
-
-    /// Validates the configuration against a layout and timing model
-    /// without building the service.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError`] describing the violated constraint.
-    pub fn validate(&self, layout: &KernelLayout, timing: &TimingModel) -> Result<(), PlanError> {
-        let plan = self.build_plan(layout)?;
-        if self.enforce_safety {
-            let bound = max_safe_area_size(timing, self.tns_delay_secs);
-            plan.validate(bound)?;
-        } else if plan.is_empty() {
-            return Err(PlanError::EmptyPlan);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// One completed introspection round.
@@ -287,7 +197,7 @@ impl SecureService for Satin {
         // Every boot failure surfaces as a structured SatinError so a
         // misconfigured or fault-injected campaign seed reports a failed
         // row instead of aborting the whole batch.
-        let plan = self.config.build_plan(ctx.layout())?;
+        let plan = build_plan(&self.config, ctx.layout())?;
         if self.config.enforce_safety {
             let bound = max_safe_area_size(ctx.timing(), self.config.tns_delay_secs);
             plan.validate(bound)?;
@@ -402,42 +312,43 @@ impl SecureService for Satin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use satin_sim::SimDuration;
     use satin_system::SystemBuilder;
 
     #[test]
-    fn paper_profile_equals_paper_config() {
-        // The juno-r1 defense profile is the source of truth for the paper
-        // defaults; drifting apart would silently change every campaign.
-        let from_profile = SatinConfig::from_profile(&satin_scenario::Scenario::paper().defense);
-        assert_eq!(from_profile, SatinConfig::paper());
-    }
-
-    #[test]
     fn profile_policies_map_through() {
-        use satin_scenario::{AreaPolicySpec, CorePolicySpec};
-        let mut profile = satin_scenario::Scenario::paper().defense;
-        profile.core_policy = CorePolicySpec::Fixed(2);
-        profile.area_policy = AreaPolicySpec::Greedy(500_000);
-        let cfg = SatinConfig::from_profile(&profile);
+        // Descriptor policies reach the plan SATIN boots with.
+        let sc = satin_scenario::parse_scenario(
+            "[scenario]\nname = x\n[defense]\ncore-policy = fixed:2\narea-policy = greedy:1000000\n",
+        )
+        .expect("valid descriptor");
+        let cfg = sc.defense;
         assert_eq!(cfg.core_policy, CorePolicy::Fixed(CoreId::new(2)));
-        assert_eq!(cfg.area_policy, AreaPolicy::Greedy { max_size: 500_000 });
+        assert_eq!(
+            cfg.area_policy,
+            AreaPolicy::Greedy {
+                max_size: 1_000_000
+            }
+        );
+        let plan = build_plan(&cfg, &KernelLayout::paper()).expect("greedy plan");
+        assert!(plan.largest() <= 1_000_000);
     }
 
     #[test]
     fn validates_paper_config() {
         let layout = KernelLayout::paper();
         let timing = TimingModel::paper_calibrated();
-        SatinConfig::paper().validate(&layout, &timing).unwrap();
+        validate(&SatinConfig::paper(), &layout, &timing).unwrap();
         // The monolithic ablation must fail the safety check.
         let mut bad = SatinConfig::paper();
         bad.area_policy = AreaPolicy::Monolithic;
         assert!(matches!(
-            bad.validate(&layout, &timing),
+            validate(&bad, &layout, &timing),
             Err(PlanError::AreaTooLarge { .. })
         ));
         // …unless safety enforcement is disabled (for ablation runs).
         bad.enforce_safety = false;
-        bad.validate(&layout, &timing).unwrap();
+        validate(&bad, &layout, &timing).unwrap();
     }
 
     #[test]
@@ -524,6 +435,7 @@ mod tests {
 #[cfg(test)]
 mod remediation_tests {
     use super::*;
+    use satin_sim::SimDuration;
     use satin_system::SystemBuilder;
 
     #[test]

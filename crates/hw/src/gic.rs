@@ -64,30 +64,47 @@ pub enum RoutingDecision {
     PendUntilSecureExit,
 }
 
-/// The routing configuration bits the paper manipulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoutingConfig {
+/// How non-secure interrupts are routed while a core is in the secure world:
+/// the `SCR_EL3.IRQ` bit the paper manipulates, with the stable names
+/// scenario descriptors use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RoutingKind {
+    /// SATIN's non-preemptive secure world (`SCR_EL3.IRQ = 0`): a round of
+    /// introspection cannot be preempted (§V-B).
+    #[default]
+    Satin,
+    /// Normal-world interrupts trap to EL3 and preempt the secure world
+    /// (OP-TEE-style, §II-B; the ablation).
+    Preemptive,
+}
+
+impl RoutingKind {
+    /// Both kinds, in display order.
+    pub const ALL: [RoutingKind; 2] = [RoutingKind::Satin, RoutingKind::Preemptive];
+
     /// `SCR_EL3.IRQ`: when set, non-secure interrupts trap to EL3 even while
-    /// the secure world runs (preemptive secure world). SATIN sets this to
-    /// `false` so a round of introspection cannot be preempted (§V-B).
-    pub irq_to_el3: bool,
-}
-
-impl RoutingConfig {
-    /// SATIN's configuration: non-preemptive secure world.
-    pub const fn satin() -> Self {
-        RoutingConfig { irq_to_el3: false }
+    /// the secure world runs.
+    pub const fn irq_to_el3(self) -> bool {
+        matches!(self, RoutingKind::Preemptive)
     }
 
-    /// A preemptive secure world (OP-TEE-style, §II-B).
-    pub const fn preemptive() -> Self {
-        RoutingConfig { irq_to_el3: true }
+    /// Stable display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            RoutingKind::Satin => "satin",
+            RoutingKind::Preemptive => "preemptive",
+        }
+    }
+
+    /// Parses a display name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        RoutingKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
-impl Default for RoutingConfig {
-    fn default() -> Self {
-        Self::satin()
+impl fmt::Display for RoutingKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -95,17 +112,17 @@ impl Default for RoutingConfig {
 /// of the target core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Gic {
-    config: RoutingConfig,
+    config: RoutingKind,
 }
 
 impl Gic {
     /// Creates a GIC with the given routing configuration.
-    pub const fn new(config: RoutingConfig) -> Self {
+    pub const fn new(config: RoutingKind) -> Self {
         Gic { config }
     }
 
     /// Current routing configuration.
-    pub const fn config(&self) -> RoutingConfig {
+    pub const fn config(&self) -> RoutingKind {
         self.config
     }
 
@@ -120,7 +137,7 @@ impl Gic {
         match interrupt.group {
             InterruptGroup::Secure => RoutingDecision::ToSecureWorld,
             InterruptGroup::NonSecure => {
-                if core_in_secure_world && !self.config.irq_to_el3 {
+                if core_in_secure_world && !self.config.irq_to_el3() {
                     RoutingDecision::PendUntilSecureExit
                 } else {
                     RoutingDecision::ToNormalWorld
@@ -136,7 +153,7 @@ mod tests {
 
     #[test]
     fn secure_interrupts_always_reach_secure_world() {
-        for cfg in [RoutingConfig::satin(), RoutingConfig::preemptive()] {
+        for cfg in RoutingKind::ALL {
             let gic = Gic::new(cfg);
             for in_secure in [false, true] {
                 assert_eq!(
@@ -149,7 +166,7 @@ mod tests {
 
     #[test]
     fn satin_config_pends_ns_interrupts_during_introspection() {
-        let gic = Gic::new(RoutingConfig::satin());
+        let gic = Gic::new(RoutingKind::Satin);
         assert_eq!(
             gic.route(Interrupt::NS_TIMER, true),
             RoutingDecision::PendUntilSecureExit
@@ -162,7 +179,7 @@ mod tests {
 
     #[test]
     fn preemptive_config_delivers_ns_interrupts_immediately() {
-        let gic = Gic::new(RoutingConfig::preemptive());
+        let gic = Gic::new(RoutingKind::Preemptive);
         assert_eq!(
             gic.route(Interrupt::NS_TIMER, true),
             RoutingDecision::ToNormalWorld
@@ -171,8 +188,8 @@ mod tests {
 
     #[test]
     fn default_is_satin_nonpreemptive() {
-        assert_eq!(Gic::default().config(), RoutingConfig::satin());
-        assert!(!RoutingConfig::default().irq_to_el3);
+        assert_eq!(Gic::default().config(), RoutingKind::Satin);
+        assert!(!RoutingKind::default().irq_to_el3());
     }
 
     #[test]

@@ -31,8 +31,9 @@ pub mod topology;
 pub mod world;
 
 pub use error::HwError;
+pub use gic::RoutingKind;
 pub use platform::Platform;
-pub use profile::{CoreCalibration, PlatformSpec, RoutingKind, TriSpec};
-pub use timing::TimingModel;
+pub use profile::PlatformSpec;
+pub use timing::{CoreCalibration, TimingModel, TriSpec};
 pub use topology::{CoreId, CoreKind, Topology};
 pub use world::{ExceptionLevel, World};

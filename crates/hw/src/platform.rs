@@ -1,6 +1,6 @@
 //! The assembled hardware platform.
 
-use crate::gic::{Gic, RoutingConfig};
+use crate::gic::{Gic, RoutingKind};
 use crate::monitor::SecureMonitor;
 use crate::timers::{PhysicalCounter, SecureTimer};
 use crate::timing::TimingModel;
@@ -44,7 +44,7 @@ impl Platform {
     }
 
     /// A custom platform.
-    pub fn new(topology: Topology, timing: TimingModel, routing: RoutingConfig) -> Self {
+    pub fn new(topology: Topology, timing: TimingModel, routing: RoutingKind) -> Self {
         let n = topology.num_cores();
         Platform {
             topology,
@@ -144,7 +144,7 @@ mod tests {
         assert_eq!(p.topology().num_cores(), 6);
         assert_eq!(p.core_kind(CoreId::new(0)), CoreKind::A57);
         assert_eq!(p.core_kind(CoreId::new(5)), CoreKind::A53);
-        assert!(!p.gic().config().irq_to_el3);
+        assert!(!p.gic().config().irq_to_el3());
         assert_eq!(p.world(CoreId::new(0)), World::Normal);
     }
 

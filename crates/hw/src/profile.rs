@@ -1,11 +1,12 @@
 //! Declarative platform profiles: the data form of a [`Platform`].
 //!
-//! The paper evaluates SATIN on exactly one machine — an ARM Juno r1 —
-//! and early versions of this reproduction baked that board into code
-//! (`Platform::juno_r1()`, magic constants in `CoreKind`). A
-//! [`PlatformSpec`] lifts the board into data: a named topology plus the
+//! The paper evaluates SATIN on exactly one machine — an ARM Juno r1. A
+//! [`PlatformSpec`] is that board as data: a named topology plus the
 //! per-core-kind timing calibration, from which [`Platform::from_profile`]
-//! assembles the simulated hardware. Related work shows both why this
+//! assembles the simulated hardware. [`PlatformSpec::juno_r1`] is the one
+//! place the paper's silicon numbers are written; `Platform::juno_r1`,
+//! `Topology::juno_r1` and `TimingModel::paper_calibrated` are built from
+//! it. Related work shows both why this
 //! matters: TrustZone world-switch costs vary widely across ARM parts
 //! (Amacher & Schiavoni, *On The Performance of ARM TrustZone*), and
 //! integrity-measurement policy should be configuration, not code
@@ -28,128 +29,18 @@
 //! assert_eq!(p.topology().num_cores(), 6);
 //! ```
 
-use crate::gic::RoutingConfig;
-use crate::timing::{CoreProfile, TimingModel};
+use crate::gic::RoutingKind;
+use crate::timing::{CoreCalibration, TimingModel, TriSpec};
 use crate::topology::{CoreKind, Topology};
 use crate::Platform;
-use satin_sim::dist::{Triangular, UniformSecs};
-
-/// A triangular distribution as its three calibration numbers, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TriSpec {
-    /// Smallest observed value.
-    pub min: f64,
-    /// Observed mean (the triangular mode is derived from it).
-    pub mean: f64,
-    /// Largest observed value.
-    pub max: f64,
-}
-
-impl TriSpec {
-    /// A spec from `(min, mean, max)` seconds.
-    pub const fn new(min: f64, mean: f64, max: f64) -> Self {
-        TriSpec { min, mean, max }
-    }
-
-    /// The distribution this spec calibrates.
-    pub fn dist(&self) -> Triangular {
-        Triangular::from_min_mean_max(self.min, self.mean, self.max)
-    }
-}
-
-/// Per-core-kind timing calibration: the Table I per-byte rates, the
-/// §IV-B2 recovery time, and the relative single-thread throughput.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreCalibration {
-    /// Per-byte direct-hash rate (Table I "Hash 1-Byte"), seconds.
-    pub hash_1byte: TriSpec,
-    /// Per-byte snapshot-then-hash rate (Table I "Snapshot 1-byte"), seconds.
-    pub snapshot_1byte: TriSpec,
-    /// Total rootkit trace-recovery time (`Tns_recover`, §IV-B2), seconds.
-    pub recover: TriSpec,
-    /// Relative single-thread throughput, fastest kind = 1.0.
-    pub relative_speed: f64,
-}
-
-impl CoreCalibration {
-    /// The paper's Cortex-A53 calibration (Table I / §IV-B2).
-    pub const fn paper_a53() -> Self {
-        CoreCalibration {
-            hash_1byte: TriSpec::new(9.23e-9, 1.07e-8, 1.14e-8),
-            snapshot_1byte: TriSpec::new(9.24e-9, 1.08e-8, 1.57e-8),
-            recover: TriSpec::new(5.20e-3, 5.80e-3, 6.13e-3),
-            relative_speed: 0.63,
-        }
-    }
-
-    /// The paper's Cortex-A57 calibration (Table I / §IV-B2).
-    pub const fn paper_a57() -> Self {
-        CoreCalibration {
-            hash_1byte: TriSpec::new(6.67e-9, 6.71e-9, 7.50e-9),
-            snapshot_1byte: TriSpec::new(6.67e-9, 6.75e-9, 7.83e-9),
-            recover: TriSpec::new(4.40e-3, 4.96e-3, 5.60e-3),
-            relative_speed: 1.0,
-        }
-    }
-
-    /// The [`CoreProfile`] this calibration instantiates.
-    pub fn core_profile(&self) -> CoreProfile {
-        CoreProfile {
-            hash_1byte: self.hash_1byte.dist(),
-            snapshot_1byte: self.snapshot_1byte.dist(),
-            recover: self.recover.dist(),
-            relative_speed: self.relative_speed,
-        }
-    }
-}
-
-/// Interrupt routing, declaratively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingKind {
-    /// SATIN's non-preemptive secure world (`SCR_EL3.IRQ = 0`).
-    Satin,
-    /// Normal-world interrupts preempt the secure world (the ablation).
-    Preemptive,
-}
-
-impl RoutingKind {
-    /// Both kinds, in display order.
-    pub const ALL: [RoutingKind; 2] = [RoutingKind::Satin, RoutingKind::Preemptive];
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RoutingKind::Satin => "satin",
-            RoutingKind::Preemptive => "preemptive",
-        }
-    }
-
-    /// Parses a display name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        RoutingKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// The [`RoutingConfig`] this kind denotes.
-    pub fn config(self) -> RoutingConfig {
-        match self {
-            RoutingKind::Satin => RoutingConfig::satin(),
-            RoutingKind::Preemptive => RoutingConfig::preemptive(),
-        }
-    }
-}
-
-impl std::fmt::Display for RoutingKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+use satin_sim::dist::UniformSecs;
 
 /// The declarative form of a [`Platform`]: a named topology plus timing
 /// calibration. Everything the hardware layer needs, as plain data.
 ///
 /// Fields the spec does not cover (dispatch jitters, publication delay,
-/// cache-pollution model) keep the paper calibration: they model the Linux
-/// substrate rather than the silicon, and no related platform reports
+/// cache-pollution model) come from `TimingModel::new`: they model the
+/// Linux substrate rather than the silicon, and no related platform reports
 /// numbers for them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
@@ -169,7 +60,9 @@ pub struct PlatformSpec {
 
 impl PlatformSpec {
     /// The paper's evaluation platform: Juno r1 (2×A57 + 4×A53) with the
-    /// calibrated timing model and SATIN's non-preemptive routing.
+    /// calibrated timing model and SATIN's non-preemptive routing. This is
+    /// the one place the paper's silicon numbers are written: `Ts_switch`
+    /// (§IV-B1), the Table I per-byte rates and `Tns_recover` (§IV-B2).
     pub fn juno_r1() -> Self {
         PlatformSpec {
             name: "juno-r1".to_string(),
@@ -183,8 +76,18 @@ impl PlatformSpec {
             ],
             routing: RoutingKind::Satin,
             ts_switch_secs: (2.38e-6, 3.60e-6),
-            a53: CoreCalibration::paper_a53(),
-            a57: CoreCalibration::paper_a57(),
+            a53: CoreCalibration {
+                hash_1byte: TriSpec::new(9.23e-9, 1.07e-8, 1.14e-8),
+                snapshot_1byte: TriSpec::new(9.24e-9, 1.08e-8, 1.57e-8),
+                recover: TriSpec::new(5.20e-3, 5.80e-3, 6.13e-3),
+                relative_speed: 0.63,
+            },
+            a57: CoreCalibration {
+                hash_1byte: TriSpec::new(6.67e-9, 6.71e-9, 7.50e-9),
+                snapshot_1byte: TriSpec::new(6.67e-9, 6.75e-9, 7.83e-9),
+                recover: TriSpec::new(4.40e-3, 4.96e-3, 5.60e-3),
+                relative_speed: 1.0,
+            },
         }
     }
 
@@ -205,14 +108,14 @@ impl PlatformSpec {
         }
     }
 
-    /// The timing model this spec calibrates: per-kind profiles and
-    /// `Ts_switch` from the spec, everything else paper-calibrated.
+    /// The timing model this spec calibrates: per-kind calibration and
+    /// `Ts_switch` from the spec over the shared Linux substrate.
     pub fn timing_model(&self) -> TimingModel {
-        let mut t = TimingModel::paper_calibrated();
-        t.ts_switch = UniformSecs::new(self.ts_switch_secs.0, self.ts_switch_secs.1);
-        t.a53 = self.a53.core_profile();
-        t.a57 = self.a57.core_profile();
-        t
+        TimingModel::new(
+            UniformSecs::new(self.ts_switch_secs.0, self.ts_switch_secs.1),
+            self.a53,
+            self.a57,
+        )
     }
 
     /// Number of cores.
@@ -265,7 +168,7 @@ impl Platform {
     ///
     /// Panics if the spec declares no cores.
     pub fn from_profile(spec: &PlatformSpec) -> Self {
-        Platform::new(spec.topology(), spec.timing_model(), spec.routing.config())
+        Platform::new(spec.topology(), spec.timing_model(), spec.routing)
     }
 }
 
@@ -273,25 +176,6 @@ impl Platform {
 mod tests {
     use super::*;
     use crate::topology::CoreId;
-
-    #[test]
-    fn juno_spec_reproduces_the_hardcoded_platform() {
-        let from_spec = Platform::from_profile(&PlatformSpec::juno_r1());
-        let hard = Platform::new(
-            Topology::juno_r1(),
-            TimingModel::paper_calibrated(),
-            RoutingConfig::satin(),
-        );
-        assert_eq!(from_spec.topology(), hard.topology());
-        // TimingModel carries distributions without PartialEq; its Debug
-        // form prints every calibration constant losslessly, so equal debug
-        // strings mean field-for-field equality.
-        assert_eq!(
-            format!("{:?}", from_spec.timing()),
-            format!("{:?}", hard.timing())
-        );
-        assert_eq!(from_spec.gic().config(), hard.gic().config());
-    }
 
     #[test]
     fn nth_core_of_kind_picks_in_id_order() {
@@ -336,8 +220,8 @@ mod tests {
             assert_eq!(RoutingKind::from_name(k.name()), Some(k));
         }
         assert_eq!(RoutingKind::from_name("nope"), None);
-        assert!(!RoutingKind::Satin.config().irq_to_el3);
-        assert!(RoutingKind::Preemptive.config().irq_to_el3);
+        assert!(!RoutingKind::Satin.irq_to_el3());
+        assert!(RoutingKind::Preemptive.irq_to_el3());
     }
 
     #[test]

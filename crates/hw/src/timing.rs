@@ -1,6 +1,11 @@
 //! Timing distributions calibrated to the paper's measurements.
 //!
-//! Every constant here is traceable to the SATIN paper:
+//! The silicon half of the calibration (`Ts_switch` and the per-core-kind
+//! [`CoreCalibration`]) is data: [`PlatformSpec::juno_r1`] writes the
+//! paper's numbers once and [`TimingModel::paper_calibrated`] reads them
+//! from there. The Linux-substrate half (dispatch jitter, publication delay,
+//! body execution times, cache pollution) is written here, in
+//! `TimingModel::new`. Every number traces to the SATIN paper:
 //!
 //! | Quantity | Paper source | Value |
 //! |---|---|---|
@@ -19,6 +24,7 @@
 //! `bytes × rate` computed in floating point and rounded up once, so the
 //! 6.67 ns/byte A57 rate is not distorted by per-byte integer rounding.
 
+use crate::profile::PlatformSpec;
 use crate::topology::CoreKind;
 use satin_sim::dist::{Exponential, HeavyTail, SecondsDist, Triangular, TruncPareto, UniformSecs};
 use satin_sim::{SimDuration, SimRng};
@@ -106,21 +112,54 @@ impl std::fmt::Display for ScanStrategy {
     }
 }
 
-/// Per-core-kind timing profile.
-#[derive(Debug, Clone)]
-pub struct CoreProfile {
-    /// Per-byte direct-hash rate (Table I "Hash 1-Byte").
-    pub hash_1byte: Triangular,
-    /// Per-byte snapshot-then-hash rate (Table I "Snapshot 1-byte").
-    pub snapshot_1byte: Triangular,
+/// A triangular distribution as its three calibration numbers, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TriSpec {
+    /// Smallest observed value.
+    pub min: f64,
+    /// Observed mean (the triangular mode is derived from it).
+    pub mean: f64,
+    /// Largest observed value.
+    pub max: f64,
+}
+
+impl TriSpec {
+    /// A spec from `(min, mean, max)` seconds.
+    pub const fn new(min: f64, mean: f64, max: f64) -> Self {
+        TriSpec { min, mean, max }
+    }
+
+    /// The distribution this spec calibrates.
+    pub fn dist(&self) -> Triangular {
+        Triangular::from_min_mean_max(self.min, self.mean, self.max)
+    }
+}
+
+impl SecondsDist for TriSpec {
+    fn sample_secs(&self, rng: &mut SimRng) -> f64 {
+        self.dist().sample_secs(rng)
+    }
+
+    fn mean_secs(&self) -> f64 {
+        self.dist().mean_secs()
+    }
+}
+
+/// Per-core-kind timing calibration: the Table I per-byte rates, the
+/// §IV-B2 recovery time, and the relative single-thread throughput.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CoreCalibration {
+    /// Per-byte direct-hash rate (Table I "Hash 1-Byte"), seconds.
+    pub hash_1byte: TriSpec,
+    /// Per-byte snapshot-then-hash rate (Table I "Snapshot 1-byte"), seconds.
+    pub snapshot_1byte: TriSpec,
     /// Total time for the rootkit to recover one attacking trace
-    /// (`Tns_recover`, §IV-B2).
-    pub recover: Triangular,
+    /// (`Tns_recover`, §IV-B2), seconds.
+    pub recover: TriSpec,
     /// Relative single-thread throughput of the core kind, with the fastest
     /// kind = 1.0. Used by the normal-world workload model to scale
     /// executed work per core. The paper calibration derives A53 = 0.63
-    /// from Table I's per-byte hash rates (6.71e-9 / 1.07e-8 ≈ 0.63); this
-    /// used to live as a magic constant on `CoreKind` itself.
+    /// from Table I's per-byte hash rates (6.71e-9 / 1.07e-8 ≈ 0.63).
     pub relative_speed: f64,
 }
 
@@ -132,10 +171,10 @@ pub struct CoreProfile {
 pub struct TimingModel {
     /// World-switch cost `Ts_switch` (§IV-B1).
     pub ts_switch: UniformSecs,
-    /// Timing profile of the Cortex-A53 cores.
-    pub a53: CoreProfile,
-    /// Timing profile of the Cortex-A57 cores.
-    pub a57: CoreProfile,
+    /// Calibration of the Cortex-A53 cores.
+    pub a53: CoreCalibration,
+    /// Calibration of the Cortex-A57 cores.
+    pub a57: CoreCalibration,
     /// Dispatch latency for an RT (SCHED_FIFO) task that wakes on an
     /// otherwise-idle core: interrupt delivery + scheduler pick. The rare
     /// heavy tail models scheduling stalls (interrupt storms, lock
@@ -173,22 +212,20 @@ pub struct TimingModel {
 }
 
 impl TimingModel {
-    /// The model calibrated to the paper's Juno r1 measurements.
+    /// The model calibrated to the paper's Juno r1 measurements: the
+    /// `juno-r1` platform spec's silicon over the Linux substrate.
     pub fn paper_calibrated() -> Self {
+        PlatformSpec::juno_r1().timing_model()
+    }
+
+    /// A model of the given silicon (`Ts_switch` and per-kind calibration)
+    /// over the calibrated Linux substrate. No related platform reports
+    /// substrate numbers, so every platform shares them.
+    pub(crate) fn new(ts_switch: UniformSecs, a53: CoreCalibration, a57: CoreCalibration) -> Self {
         TimingModel {
-            ts_switch: UniformSecs::new(2.38e-6, 3.60e-6),
-            a53: CoreProfile {
-                hash_1byte: Triangular::from_min_mean_max(9.23e-9, 1.07e-8, 1.14e-8),
-                snapshot_1byte: Triangular::from_min_mean_max(9.24e-9, 1.08e-8, 1.57e-8),
-                recover: Triangular::from_min_mean_max(5.20e-3, 5.80e-3, 6.13e-3),
-                relative_speed: 0.63,
-            },
-            a57: CoreProfile {
-                hash_1byte: Triangular::from_min_mean_max(6.67e-9, 6.71e-9, 7.50e-9),
-                snapshot_1byte: Triangular::from_min_mean_max(6.67e-9, 6.75e-9, 7.83e-9),
-                recover: Triangular::from_min_mean_max(4.40e-3, 4.96e-3, 5.60e-3),
-                relative_speed: 1.0,
-            },
+            ts_switch,
+            a53,
+            a57,
             rt_dispatch_jitter: HeavyTail::new(
                 Exponential::new(3e-6, 1.5e-5),
                 TruncPareto::new(1.3e-4, 3.0, 1.3e-3),
@@ -208,8 +245,8 @@ impl TimingModel {
         }
     }
 
-    /// The timing profile of a core kind.
-    pub fn profile(&self, kind: CoreKind) -> &CoreProfile {
+    /// The calibration of a core kind.
+    pub fn profile(&self, kind: CoreKind) -> &CoreCalibration {
         match kind {
             CoreKind::A53 => &self.a53,
             CoreKind::A57 => &self.a57,
@@ -281,13 +318,13 @@ impl TimingModel {
     /// quantity the paper's Equation 2 divides by when computing the safe
     /// area size (a defender might scan on the fastest core).
     pub fn fastest_hash_rate(&self) -> ByteRate {
-        ByteRate::new(self.a53.hash_1byte.min().min(self.a57.hash_1byte.min()))
+        ByteRate::new(self.a53.hash_1byte.min.min(self.a57.hash_1byte.min))
     }
 
     /// Worst-case (slowest) recovery time across core kinds — `Tns_recover`
     /// as used in the paper's §IV-C worst-case analysis (6.13e-3 s).
     pub fn slowest_recover_secs(&self) -> f64 {
-        self.a53.recover.max().max(self.a57.recover.max())
+        self.a53.recover.max.max(self.a57.recover.max)
     }
 
     /// Largest possible world-switch cost.

@@ -69,12 +69,9 @@ impl CoreKind {
     }
 }
 
-// NOTE: `CoreKind::relative_speed()` used to live here as a pair of magic
-// constants (A53 → 0.63, A57 → 1.0, derived from Table I's per-byte hash
-// rates: 6.71e-9 / 1.07e-8 ≈ 0.63). Relative throughput is a *calibration*,
-// not an architectural fact, so it now lives in the timing model
-// (`TimingModel::relative_speed` / `CoreProfile::relative_speed`) where
-// platform profiles can override it.
+// Relative throughput is a *calibration*, not an architectural fact, so it
+// lives in the timing model (`CoreCalibration::relative_speed`), where
+// platform specs can override it, not on `CoreKind`.
 
 impl fmt::Display for CoreKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -103,16 +100,7 @@ impl Topology {
     /// cluster (cores 0–1 here) and a 4-core Cortex-A53 "LITTLE" cluster
     /// (cores 2–5).
     pub fn juno_r1() -> Self {
-        Topology {
-            kinds: vec![
-                CoreKind::A57,
-                CoreKind::A57,
-                CoreKind::A53,
-                CoreKind::A53,
-                CoreKind::A53,
-                CoreKind::A53,
-            ],
-        }
+        crate::profile::PlatformSpec::juno_r1().topology()
     }
 
     /// A custom topology.

@@ -4,22 +4,25 @@
 //!
 //! The paper evaluates SATIN in exactly one configuration — a Juno r1
 //! board, KProber-II at 200 µs with a 1.8 ms threshold, SATIN at
-//! `Tgoal = 152 s` — and earlier layers hard-coded all of it. A
-//! [`Scenario`] lifts that whole tuple into a descriptor:
+//! `Tgoal = 152 s`. A [`Scenario`] holds that whole tuple as data, in the
+//! types the simulator runs, and the `juno-r1` descriptor is the one place
+//! its numbers are written:
 //!
 //! - [`scenario`]: the [`Scenario`] type — a `PlatformSpec` (from
-//!   `satin-hw`) plus [`AttackProfile`], [`DefenseProfile`], and
-//!   [`CampaignProfile`] — and its canonical text form;
+//!   `satin-hw`) plus [`AttackProfile`], [`SatinConfig`] (the defender,
+//!   with its [`CorePolicy`] and [`AreaPolicy`]), and [`CampaignProfile`]
+//!   — and its canonical text form;
 //! - [`parse`]: a hand-rolled parser for the small `[section]` /
 //!   `key = value` text format, with line-numbered errors;
 //! - [`registry`]: built-in scenarios — `juno-r1` (the paper, and the
-//!   source of every default elsewhere in the workspace) plus platform
-//!   variants for grid sweeps.
+//!   source of every default elsewhere in the workspace, including
+//!   [`SatinConfig::paper`]) plus platform variants for grid sweeps.
 //!
 //! Layering: this crate sits *below* `satin-system`, `satin-core`,
-//! `satin-attack`, and `satin-bench`; each of those converts the profile
-//! it cares about (`SystemBuilder::scenario`, `SatinConfig::from_profile`,
-//! `TzEvaderConfig::from_profile`, `ScenarioGrid`).
+//! `satin-attack`, and `satin-bench`, which run its types directly:
+//! `SystemBuilder::scenario` builds the platform, `satin-core` re-exports
+//! [`SatinConfig`] and boots it, `TzEvaderConfig::from_profile` adds the
+//! rootkit to the attack profile, and `ScenarioGrid` sweeps scenarios.
 //!
 //! # Example
 //!
@@ -48,6 +51,5 @@ pub use faults::{
 pub use parse::{parse_fault_plan, parse_scenario, ParseError};
 pub use registry::{builtin, builtins};
 pub use scenario::{
-    AreaPolicySpec, AttackProfile, CampaignProfile, CorePolicySpec, DefenseProfile, ProberKind,
-    Scenario,
+    AreaPolicy, AttackProfile, CampaignProfile, CorePolicy, ProberKind, SatinConfig, Scenario,
 };

@@ -10,11 +10,11 @@
 
 use crate::faults::{apply_fault_key, FaultPlan};
 use crate::registry;
-use crate::scenario::{AreaPolicySpec, CorePolicySpec, ProberKind, Scenario};
+use crate::scenario::{AreaPolicy, CorePolicy, ProberKind, Scenario};
 use satin_hash::HashAlgorithm;
-use satin_hw::profile::{RoutingKind, TriSpec};
 use satin_hw::timing::ScanStrategy;
 use satin_hw::CoreKind;
+use satin_hw::{RoutingKind, TriSpec};
 use satin_sim::SimDuration;
 use std::collections::BTreeSet;
 
@@ -274,11 +274,11 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseError> {
                 }
                 "randomize-wake" => sc.defense.randomize_wake = parse_bool(value).map_err(err)?,
                 "core-policy" => {
-                    sc.defense.core_policy = CorePolicySpec::from_text(value)
+                    sc.defense.core_policy = CorePolicy::from_text(value)
                         .ok_or_else(|| err(format!("unknown core policy `{value}`")))?;
                 }
                 "area-policy" => {
-                    sc.defense.area_policy = AreaPolicySpec::from_text(value)
+                    sc.defense.area_policy = AreaPolicy::from_text(value)
                         .ok_or_else(|| err(format!("unknown area policy `{value}`")))?;
                 }
                 "tns-delay-secs" => {

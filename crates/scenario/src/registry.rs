@@ -6,8 +6,7 @@
 
 use crate::faults::FaultPlan;
 use crate::scenario::{
-    AreaPolicySpec, AttackProfile, CampaignProfile, CorePolicySpec, DefenseProfile, ProberKind,
-    Scenario,
+    AreaPolicy, AttackProfile, CampaignProfile, CorePolicy, ProberKind, SatinConfig, Scenario,
 };
 use satin_hash::HashAlgorithm;
 use satin_hw::profile::PlatformSpec;
@@ -26,19 +25,23 @@ fn paper_attack(recovery_core: usize) -> AttackProfile {
     }
 }
 
-/// The paper's defender: `Tgoal = 152 s`, djb2, direct hash, randomized
-/// wake on all cores, segment areas, safety enforced.
-fn paper_defense() -> DefenseProfile {
-    DefenseProfile {
-        tgoal: SimDuration::from_secs(152),
-        algorithm: HashAlgorithm::Djb2,
-        strategy: ScanStrategy::DirectHash,
-        randomize_wake: true,
-        core_policy: CorePolicySpec::AllRandom,
-        area_policy: AreaPolicySpec::Segments,
-        tns_delay_secs: 2e-4 + 1.8e-3,
-        enforce_safety: true,
-        remediate: false,
+impl SatinConfig {
+    /// The paper's evaluated defender: `Tgoal = 152 s` (tp = 8 s over 19
+    /// areas), djb2, direct hash, randomized wake on all cores, segment
+    /// areas, safety enforced against `Tns_delay = Tns_sched +
+    /// Tns_threshold`.
+    pub fn paper() -> Self {
+        SatinConfig {
+            tgoal: SimDuration::from_secs(152),
+            algorithm: HashAlgorithm::Djb2,
+            strategy: ScanStrategy::DirectHash,
+            randomize_wake: true,
+            core_policy: CorePolicy::AllRandom,
+            area_policy: AreaPolicy::Segments,
+            tns_delay_secs: 2e-4 + 1.8e-3,
+            enforce_safety: true,
+            remediate: false,
+        }
     }
 }
 
@@ -53,15 +56,16 @@ fn quick_campaign() -> CampaignProfile {
 }
 
 /// The paper's scenario: Juno r1, TZ-Evader's strongest configuration,
-/// SATIN's evaluated configuration. Every builder default derives from
-/// this profile, so running it is byte-identical to the pre-scenario code.
+/// SATIN's evaluated configuration. Every paper default in the workspace
+/// (`SatinConfig::paper`, `TzEvaderConfig::paper_default`,
+/// `TimingModel::paper_calibrated`, …) reads its numbers from here.
 pub fn juno_r1() -> Scenario {
     Scenario {
         name: "juno-r1".to_string(),
         summary: "the paper's board: 2xA57+4xA53, KProber-II vs paper SATIN".to_string(),
         platform: PlatformSpec::juno_r1(),
         attack: paper_attack(3),
-        defense: paper_defense(),
+        defense: SatinConfig::paper(),
         campaign: quick_campaign(),
         faults: FaultPlan::default(),
     }

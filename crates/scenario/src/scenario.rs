@@ -4,14 +4,13 @@ use crate::faults::FaultPlan;
 use satin_hash::HashAlgorithm;
 use satin_hw::profile::PlatformSpec;
 use satin_hw::timing::ScanStrategy;
+use satin_hw::CoreId;
 use satin_sim::SimDuration;
 use std::fmt::Write as _;
 
-/// Which prober implementation carries TZ-Evader's side channel.
-///
-/// Mirrors `satin-attack`'s `ProberVariant` without depending on it —
-/// the scenario layer sits below the attack layer, which converts via
-/// `TzEvaderConfig::from_profile`.
+/// Which prober implementation carries TZ-Evader's side channel. Defined
+/// here, below the attack layer, so descriptors can name it;
+/// `satin-attack` deploys it (`kprober::deploy_prober`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProberKind {
     /// User-level CFS prober (§III-B1).
@@ -59,88 +58,107 @@ pub struct AttackProfile {
     pub recovery_core: usize,
 }
 
-/// Core-selection policy, as data (mirrors `satin-core`'s `CorePolicy`).
+/// Which cores perform introspection rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorePolicySpec {
-    /// Every core takes turns in random order (§V-D, the paper's design).
+pub enum CorePolicy {
+    /// Every core takes turns in a random, queue-coordinated order (§V-D) —
+    /// the design the paper adopts.
     AllRandom,
-    /// One fixed core introspects (the predictable-affinity ablation).
-    Fixed(usize),
+    /// Only one fixed core introspects — the predictable-affinity ablation
+    /// that §IV-B2 shows is ~4× easier to probe.
+    Fixed(CoreId),
 }
 
-impl CorePolicySpec {
+impl CorePolicy {
     /// Stable descriptor form (`all-random` or `fixed:N`).
     pub fn to_text(self) -> String {
         match self {
-            CorePolicySpec::AllRandom => "all-random".to_string(),
-            CorePolicySpec::Fixed(core) => format!("fixed:{core}"),
+            CorePolicy::AllRandom => "all-random".to_string(),
+            CorePolicy::Fixed(core) => format!("fixed:{}", core.index()),
         }
     }
 
     /// Parses the descriptor form.
     pub fn from_text(text: &str) -> Option<Self> {
         if text == "all-random" {
-            return Some(CorePolicySpec::AllRandom);
+            return Some(CorePolicy::AllRandom);
         }
         let n = text.strip_prefix("fixed:")?;
-        n.parse().ok().map(CorePolicySpec::Fixed)
+        n.parse().ok().map(|n| CorePolicy::Fixed(CoreId::new(n)))
     }
 }
 
-/// Area-division policy, as data (mirrors `satin-core`'s `AreaPolicy`).
+/// How the kernel is divided into areas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AreaPolicySpec {
+pub enum AreaPolicy {
     /// One area per `System.map` segment (the paper's 19 areas).
     Segments,
-    /// Greedy packing under an explicit byte bound.
-    Greedy(u64),
-    /// One monolithic area (insecure baseline).
+    /// Greedy packing under an explicit bound (ablation).
+    Greedy {
+        /// Maximum area size in bytes.
+        max_size: u64,
+    },
+    /// One monolithic area (the insecure baseline; fails safety validation).
     Monolithic,
 }
 
-impl AreaPolicySpec {
+impl AreaPolicy {
     /// Stable descriptor form (`segments`, `greedy:N`, or `monolithic`).
     pub fn to_text(self) -> String {
         match self {
-            AreaPolicySpec::Segments => "segments".to_string(),
-            AreaPolicySpec::Greedy(max) => format!("greedy:{max}"),
-            AreaPolicySpec::Monolithic => "monolithic".to_string(),
+            AreaPolicy::Segments => "segments".to_string(),
+            AreaPolicy::Greedy { max_size } => format!("greedy:{max_size}"),
+            AreaPolicy::Monolithic => "monolithic".to_string(),
         }
     }
 
     /// Parses the descriptor form.
     pub fn from_text(text: &str) -> Option<Self> {
         match text {
-            "segments" => return Some(AreaPolicySpec::Segments),
-            "monolithic" => return Some(AreaPolicySpec::Monolithic),
+            "segments" => return Some(AreaPolicy::Segments),
+            "monolithic" => return Some(AreaPolicy::Monolithic),
             _ => {}
         }
         let n = text.strip_prefix("greedy:")?;
-        n.parse().ok().map(AreaPolicySpec::Greedy)
+        n.parse()
+            .ok()
+            .map(|max_size| AreaPolicy::Greedy { max_size })
     }
 }
 
-/// The defender half of a scenario: SATIN's configuration, as data.
+/// The defender half of a scenario: SATIN's configuration. `satin-core`
+/// runs it (`Satin::new`) and re-exports it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DefenseProfile {
-    /// Full-coverage goal `Tgoal` (§V-C).
+pub struct SatinConfig {
+    /// Full-coverage goal `Tgoal`; `tp = Tgoal / m` (§V-C).
     pub tgoal: SimDuration,
-    /// Digest algorithm.
+    /// Digest algorithm (djb2 in the paper).
     pub algorithm: HashAlgorithm,
-    /// Scan strategy.
+    /// Scan strategy (direct hash in the paper; Table I's comparison).
     pub strategy: ScanStrategy,
     /// Randomize wake intervals with `td ∈ [−tp, tp]`?
     pub randomize_wake: bool,
     /// Core selection policy.
-    pub core_policy: CorePolicySpec,
+    pub core_policy: CorePolicy,
     /// Area division policy.
-    pub area_policy: AreaPolicySpec,
-    /// Assumed attacker probing delay `Tns_delay` for the safety bound.
+    pub area_policy: AreaPolicy,
+    /// Assumed attacker probing delay `Tns_delay = Tns_sched +
+    /// Tns_threshold` for the safety bound.
     pub tns_delay_secs: f64,
     /// Refuse to boot if any area exceeds the safety bound.
     pub enforce_safety: bool,
-    /// Repair tampered areas from a golden copy on alarm.
+    /// On an alarm, repair the tampered area's invariant sections from a
+    /// boot-time golden copy (an RKP-style extension beyond the paper's
+    /// report-only SATIN; costs ~3.5 MB of secure memory).
     pub remediate: bool,
+}
+
+impl SatinConfig {
+    /// A copy of `profile`. The defense profile *is* the configuration;
+    /// only the frozen benchmark (`perfbench/`) still calls this.
+    pub fn from_profile(profile: &SatinConfig) -> Self {
+        *profile
+    }
 }
 
 /// The campaign shape: how a grid sweep exercises the scenario.
@@ -170,7 +188,7 @@ pub struct Scenario {
     /// The attacker.
     pub attack: AttackProfile,
     /// The defender.
-    pub defense: DefenseProfile,
+    pub defense: SatinConfig,
     /// The campaign shape.
     pub campaign: CampaignProfile,
     /// Injected faults (empty by default: clean runs stay clean).
@@ -235,10 +253,11 @@ impl Scenario {
         if self.attack.sleep == SimDuration::ZERO {
             return Err("attack sleep cadence must be positive".to_string());
         }
-        if let CorePolicySpec::Fixed(core) = self.defense.core_policy {
-            if core >= self.platform.cores.len() {
+        if let CorePolicy::Fixed(core) = self.defense.core_policy {
+            if core.index() >= self.platform.cores.len() {
                 return Err(format!(
-                    "core-policy fixed:{core} out of range for {} cores",
+                    "core-policy fixed:{} out of range for {} cores",
+                    core.index(),
                     self.platform.cores.len()
                 ));
             }

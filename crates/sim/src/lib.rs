@@ -6,7 +6,7 @@
 //! compromised rich OS (removing attack traces). Reproducing that race without
 //! the ARM Juno r1 board requires a simulator whose only notion of time is
 //! virtual: this crate provides nanosecond-resolution [`SimTime`], an ordered
-//! [`EventQueue`] with stable FIFO tie-breaking, seeded and stream-split
+//! timing-wheel event queue with stable FIFO tie-breaking, seeded and stream-split
 //! deterministic randomness ([`rng::SimRng`]), calibrated probability
 //! distributions ([`dist`]), a bounded [`trace::TraceLog`] with typed
 //! [`trace::TraceCategory`] labels, and a read-only [`observe::SimObserver`]
@@ -30,14 +30,13 @@
 pub mod dist;
 pub mod engine;
 pub mod observe;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
 pub use engine::Simulator;
 pub use observe::{Mark, MarkTag, SimObserver};
-pub use queue::EventQueue;
 pub use rng::{RngFactory, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceEvent, TraceLog};

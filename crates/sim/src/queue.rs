@@ -60,19 +60,7 @@ fn insert_desc<E>(run: &mut Vec<Entry<E>>, entry: Entry<E>) {
 /// FIFO tie-breaking is what makes the whole simulation deterministic: two
 /// events scheduled for the same nanosecond always dispatch in the order they
 /// were scheduled, independent of queue internals.
-///
-/// # Example
-///
-/// ```
-/// use satin_sim::{EventQueue, SimTime};
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_nanos(5), 'b');
-/// q.push(SimTime::from_nanos(5), 'c');
-/// q.push(SimTime::from_nanos(1), 'a');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     /// Current-slot run, sorted descending by `(time, seq)`: the earliest
     /// entry is at the back, so `pop` is a `Vec::pop`. Also absorbs pushes
     /// at or before the wheel base (same-instant reschedules).
@@ -188,14 +176,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event, or `None` if empty.
-    #[must_use = "popping discards the event if the result is unused"]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like [`EventQueue::pop`], but also returns the event's sequence number
-    /// (the FIFO tie-breaker assigned at push time).
+    /// Removes and returns the earliest event with its sequence number (the
+    /// FIFO tie-breaker assigned at push time), or `None` if empty.
     #[must_use = "popping discards the event if the result is unused"]
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         if self.len == 0 {
@@ -230,25 +212,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops all pending events. The sequence counter is *not* reset: seq
-    /// values stay unique across a clear, so observers that log them never
-    /// see a duplicate within one simulation.
-    pub fn clear(&mut self) {
-        self.near.clear();
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.wheel_len = 0;
-        self.overflow.clear();
-        self.len = 0;
-        self.near_slot = 0;
     }
 }
 
@@ -301,16 +264,31 @@ mod tests {
         }
     }
 
+    /// Pops the earliest `(time, payload)`, dropping the sequence number.
+    fn pop<E>(q: &mut EventQueue<E>) -> Option<(SimTime, E)> {
+        q.pop_entry().map(|(t, _, e)| (t, e))
+    }
+
+    #[test]
+    fn example_orders_by_time_then_fifo() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(5), 'b');
+        q.push(SimTime::from_nanos(5), 'c');
+        q.push(SimTime::from_nanos(1), 'a');
+        let order: Vec<char> = std::iter::from_fn(|| pop(&mut q).map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c']);
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(30), 3);
         q.push(SimTime::from_nanos(10), 1);
         q.push(SimTime::from_nanos(20), 2);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 3)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&mut q), Some((SimTime::from_nanos(10), 1)));
+        assert_eq!(pop(&mut q), Some((SimTime::from_nanos(20), 2)));
+        assert_eq!(pop(&mut q), Some((SimTime::from_nanos(30), 3)));
+        assert_eq!(pop(&mut q), None);
     }
 
     #[test]
@@ -320,21 +298,23 @@ mod tests {
             q.push(SimTime::from_nanos(7), i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(pop(&mut q).unwrap().1, i);
         }
     }
 
     #[test]
     fn peek_len_clear() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_nanos(4), ());
         q.push(SimTime::from_nanos(2), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(2)));
-        q.clear();
-        assert!(q.is_empty());
+        // Drained clear: the queue reports empty again.
+        while pop(&mut q).is_some() {}
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -343,8 +323,12 @@ mod tests {
         q.push(SimTime::from_nanos(1), 'a');
         q.push(SimTime::from_nanos(2), 'b');
         assert_eq!(q.next_seq(), 2);
-        q.clear();
-        assert_eq!(q.next_seq(), 2, "clear must not recycle sequence numbers");
+        while pop(&mut q).is_some() {}
+        assert_eq!(
+            q.next_seq(),
+            2,
+            "draining must not recycle sequence numbers"
+        );
         q.push(SimTime::from_nanos(3), 'c');
         assert_eq!(q.pop_entry(), Some((SimTime::from_nanos(3), 2, 'c')));
     }
@@ -356,10 +340,10 @@ mod tests {
         q.push(SimTime::from_secs(10), 'z');
         q.push(SimTime::from_nanos(5), 'a');
         q.push(SimTime::from_millis(2), 'm');
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 'a')));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 'm')));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 'z')));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&mut q), Some((SimTime::from_nanos(5), 'a')));
+        assert_eq!(pop(&mut q), Some((SimTime::from_millis(2), 'm')));
+        assert_eq!(pop(&mut q), Some((SimTime::from_secs(10), 'z')));
+        assert_eq!(pop(&mut q), None);
     }
 
     #[test]
@@ -371,11 +355,11 @@ mod tests {
         let window = 1u64 << BUCKET_SHIFT << 8; // NUM_BUCKETS slots in ns
         q.push(SimTime::from_nanos(window + 100), 'b'); // overflow at push
         q.push(SimTime::from_nanos(10), 'a');
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 'a')));
+        assert_eq!(pop(&mut q), Some((SimTime::from_nanos(10), 'a')));
         // Lands inside the advanced window, *later* than the overflow entry.
         q.push(SimTime::from_nanos(window + 200), 'c');
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(window + 100), 'b')));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(window + 200), 'c')));
+        assert_eq!(pop(&mut q), Some((SimTime::from_nanos(window + 100), 'b')));
+        assert_eq!(pop(&mut q), Some((SimTime::from_nanos(window + 200), 'c')));
     }
 
     /// One step of an interleaved push/pop program (satellite: wheel vs.
@@ -384,7 +368,7 @@ mod tests {
     enum Op {
         Push(u64),
         Pop,
-        Clear,
+        Drain,
     }
 
     struct OpStrategy;
@@ -399,8 +383,8 @@ mod tests {
                 // up to seconds out — exercises the overflow level.
                 4..=5 => Op::Push(2_000_000 + rng.below(10_000_000_000)),
                 6..=8 => Op::Pop,
-                // Rare: exercises post-clear reuse mid-program.
-                _ => Op::Clear,
+                // Rare: exercises reuse of a drained queue mid-program.
+                _ => Op::Drain,
             }
         }
     }
@@ -415,7 +399,7 @@ mod tests {
                 q.push(SimTime::from_nanos(*t), idx);
             }
             let mut last: Option<(SimTime, usize)> = None;
-            while let Some((t, idx)) = q.pop() {
+            while let Some((t, idx)) = pop(&mut q) {
                 if let Some((lt, lidx)) = last {
                     prop_assert!(t >= lt);
                     if t == lt {
@@ -429,7 +413,7 @@ mod tests {
         /// The timing wheel is observationally identical to the reference
         /// heap: same `(time, seq, payload)` at every pop, same `len` and
         /// `next_seq` after every step, for arbitrary interleaved programs
-        /// including far-future overflow and post-`clear()` reuse.
+        /// including far-future overflow and reuse after a full drain.
         #[test]
         fn prop_wheel_matches_reference_model(
             ops in proptest::collection::vec(OpStrategy, 0..400)
@@ -445,9 +429,11 @@ mod tests {
                     Op::Pop => {
                         prop_assert_eq!(wheel.pop_entry(), model.pop_entry());
                     }
-                    Op::Clear => {
-                        wheel.clear();
-                        model.heap.clear();
+                    Op::Drain => {
+                        while let Some(w) = wheel.pop_entry() {
+                            prop_assert_eq!(Some(w), model.pop_entry());
+                        }
+                        prop_assert_eq!(model.pop_entry(), None);
                     }
                 }
                 prop_assert_eq!(wheel.len(), model.heap.len());

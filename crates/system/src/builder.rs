@@ -72,9 +72,9 @@ impl SystemBuilder {
     }
 
     /// Applies a scenario: the platform is rebuilt from the scenario's
-    /// profile and the scenario's fault plan (if any) is adopted. Attacker
-    /// and defense profiles live above this crate and are consumed by
-    /// `TzEvaderConfig::from_profile` and `SatinConfig::from_profile`; the
+    /// profile and the scenario's fault plan (if any) is adopted. The
+    /// attacker and defender are deployed above this crate
+    /// (`TzEvaderConfig::from_profile`, `Satin::new(scenario.defense)`); the
     /// builder only owns the hardware and the fault injector.
     pub fn scenario(self, scenario: &Scenario) -> Self {
         self.platform(Platform::from_profile(&scenario.platform))
@@ -202,7 +202,7 @@ mod tests {
                 format!("{:?}", spec.timing_model()),
                 "{label}: timing model"
             );
-            assert_eq!(p.gic().config(), spec.routing.config(), "{label}: routing");
+            assert_eq!(p.gic().config(), spec.routing, "{label}: routing");
         }
         assert_eq!(plain.layout().num_segments(), 19);
     }

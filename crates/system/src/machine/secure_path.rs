@@ -81,7 +81,7 @@ impl System {
                 // interrupt pauses the scan, stretching its effective
                 // per-byte rate. SATIN's non-preemptive configuration pends
                 // them instead (see Gic::route), so the rate is unaffected.
-                let preemptible = self.platform.gic().config().irq_to_el3;
+                let preemptible = self.platform.gic().config().irq_to_el3();
                 let stretch = if preemptible {
                     1.0 / (1.0 - self.ns_interrupt_load)
                 } else {

@@ -7,8 +7,8 @@
 //! ```
 
 use satin::hash::{hash_bytes, AuthorizedHashTable, HashAlgorithm};
-use satin::hw::gic::RoutingConfig;
 use satin::hw::timing::ScanStrategy;
+use satin::hw::RoutingKind;
 use satin::hw::{CoreKind, Topology};
 use satin::prelude::*;
 use satin::system::{BootCtx, ScanRequest, SecureCtx, SecureService};
@@ -74,7 +74,7 @@ fn main() {
     let platform = Platform::new(
         Topology::homogeneous(CoreKind::A53, 8),
         satin::hw::TimingModel::paper_calibrated(),
-        RoutingConfig::satin(),
+        RoutingKind::Satin,
     );
     let mut sys = SystemBuilder::new().seed(808).platform(platform).build();
     println!("custom platform: {} cores, all A53", sys.num_cores());

@@ -16,7 +16,7 @@ use satin::prelude::*;
 fn main() {
     let paper_scale = std::env::args().any(|a| a == "--paper");
     let (tgoal, rounds) = if paper_scale {
-        (SimDuration::from_secs(152), 190) // the paper's exact campaign
+        (SatinConfig::paper().tgoal, 190) // the paper's exact campaign
     } else {
         (SimDuration::from_secs(19), 57) // 8× faster cadence, 3 sweeps
     };

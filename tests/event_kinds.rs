@@ -14,7 +14,7 @@
 //! ```
 
 use satin::attack::{TzEvader, TzEvaderConfig};
-use satin::core::{Satin, SatinConfig};
+use satin::core::Satin;
 use satin::scenario::Scenario;
 use satin::sim::{SimDuration, SimObserver, SimTime};
 use satin::system::{SysEvent, SystemBuilder};
@@ -79,7 +79,7 @@ fn run_cell(seed: u64) -> String {
         .telemetry(false)
         .build();
     sys.set_sim_observer(Box::new(KindCounter(Rc::clone(&counts))));
-    let mut cfg = SatinConfig::from_profile(&scenario.defense);
+    let mut cfg = scenario.defense;
     cfg.tgoal = tgoal;
     let (satin, handle) = Satin::new(cfg);
     sys.try_install_secure_service(satin).unwrap();

@@ -35,10 +35,10 @@ fn kernel_layout_matches_section_6a2() {
 fn timing_constants_match_the_tables() {
     let t = TimingModel::paper_calibrated();
     // Table I extremes.
-    assert_eq!(t.a57.hash_1byte.min(), 6.67e-9);
-    assert_eq!(t.a57.hash_1byte.max(), 7.50e-9);
-    assert_eq!(t.a53.hash_1byte.min(), 9.23e-9);
-    assert_eq!(t.a53.hash_1byte.max(), 1.14e-8);
+    assert_eq!(t.a57.hash_1byte.min, 6.67e-9);
+    assert_eq!(t.a57.hash_1byte.max, 7.50e-9);
+    assert_eq!(t.a53.hash_1byte.min, 9.23e-9);
+    assert_eq!(t.a53.hash_1byte.max, 1.14e-8);
     // §IV-B1 switch bounds.
     assert_eq!(t.ts_switch.lo(), 2.38e-6);
     assert_eq!(t.ts_switch.hi(), 3.60e-6);

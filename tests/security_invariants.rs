@@ -79,14 +79,14 @@ fn kprober_trace_asymmetry() {
 /// SATIN refuses to boot with areas above the §V-B safety bound.
 #[test]
 fn satin_enforces_area_safety_bound() {
-    use satin::core::satin::AreaPolicy;
+    use satin::core::satin::{validate, AreaPolicy};
     let layout = KernelLayout::paper();
     let timing = satin::hw::TimingModel::paper_calibrated();
     let mut cfg = SatinConfig::paper();
     cfg.area_policy = AreaPolicy::Monolithic;
-    assert!(cfg.validate(&layout, &timing).is_err());
+    assert!(validate(&cfg, &layout, &timing).is_err());
     cfg.area_policy = AreaPolicy::Segments;
-    assert!(cfg.validate(&layout, &timing).is_ok());
+    assert!(validate(&cfg, &layout, &timing).is_ok());
 }
 
 /// The scan-window race is exact: Equation 1's boundary is reproduced byte
