@@ -60,7 +60,7 @@ pub enum ViolationKind {
 
 impl ViolationKind {
     /// Stable lowercase name.
-    pub const fn as_str(self) -> &'static str {
+    pub(crate) const fn as_str(self) -> &'static str {
         match self {
             ViolationKind::DetectionBeforePublish => "detection-before-publish",
             ViolationKind::OverlappingScanWindows => "overlapping-scan-windows",

@@ -219,7 +219,7 @@ fn escapes_in_micro_sim(params: &RaceParams, s: u64) -> bool {
 
 /// Binary-searches the micro-simulated escape boundary and returns its
 /// distance in bytes from Eq.2's closed form (0 = exact agreement).
-pub fn eq2_boundary_residual(params: &RaceParams) -> u64 {
+pub(crate) fn eq2_boundary_residual(params: &RaceParams) -> u64 {
     let closed_form = params.protected_prefix_bytes();
     if closed_form >= PAPER_KERNEL_SIZE {
         return 0; // no boundary inside the kernel to compare against

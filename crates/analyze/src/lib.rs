@@ -9,13 +9,13 @@
 //! world switch. This crate checks those claims after (and outside of)
 //! every run, two ways:
 //!
-//! - [`hb`] — a vector-clock **happens-before race detector**. An
+//! - `hb` — a vector-clock **happens-before race detector**. An
 //!   [`AnalyzeProbe`] rides the engine's [`satin_sim::SimObserver`] seat,
-//!   assigns each core a [`VectorClock`], derives causal edges from the
+//!   assigns each core a `VectorClock`, derives causal edges from the
 //!   cross-core mark stream (timer fire → prober observation → recovery,
 //!   scan publish → detection), and flags three violation classes with the
 //!   offending event pairs, sim timestamps, and core IDs.
-//! - [`invariant`] — an **Eq.1/Eq.2 audit** that re-derives the paper's
+//! - `invariant` — an **Eq.1/Eq.2 audit** that re-derives the paper's
 //!   closed-form race equations from the recorded mark log and asserts the
 //!   simulated outcome matches: every fair-race window the closed form says
 //!   the introspection wins must carry a detection, every scan window must
@@ -30,12 +30,11 @@
 //! never consume randomness, and the golden-trace snapshots pin that
 //! attaching them changes nothing.
 
-pub mod hb;
-pub mod invariant;
-pub mod vclock;
+pub(crate) mod hb;
+pub(crate) mod invariant;
+pub(crate) mod vclock;
 
 pub use hb::{
     attach, AnalyzeHandle, AnalyzeProbe, MarkRecord, RaceReport, Violation, ViolationKind,
 };
 pub use invariant::{audit, InvariantReport};
-pub use vclock::VectorClock;

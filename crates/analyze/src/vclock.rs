@@ -10,26 +10,21 @@
 
 /// A fixed-width vector clock.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct VectorClock {
+pub(crate) struct VectorClock {
     slots: Vec<u64>,
 }
 
 impl VectorClock {
     /// The zero clock with `width` slots.
-    pub fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         VectorClock {
             slots: vec![0; width],
         }
     }
 
-    /// Number of slots.
-    pub fn width(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The value of slot `i` (0 for out-of-range slots, so clocks of
     /// different widths compare sensibly).
-    pub fn get(&self, i: usize) -> u64 {
+    pub(crate) fn get(&self, i: usize) -> u64 {
         self.slots.get(i).copied().unwrap_or(0)
     }
 
@@ -39,7 +34,7 @@ impl VectorClock {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn tick(&mut self, i: usize) {
+    pub(crate) fn tick(&mut self, i: usize) {
         self.slots[i] += 1;
     }
 
@@ -49,14 +44,14 @@ impl VectorClock {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn raise(&mut self, i: usize, v: u64) {
+    pub(crate) fn raise(&mut self, i: usize, v: u64) {
         if self.slots[i] < v {
             self.slots[i] = v;
         }
     }
 
     /// Pointwise-max join of `other` into `self`.
-    pub fn merge(&mut self, other: &VectorClock) {
+    pub(crate) fn merge(&mut self, other: &VectorClock) {
         if other.slots.len() > self.slots.len() {
             self.slots.resize(other.slots.len(), 0);
         }
@@ -68,7 +63,8 @@ impl VectorClock {
     }
 
     /// The join of `self` and `other`, leaving both untouched.
-    pub fn merged(&self, other: &VectorClock) -> VectorClock {
+    #[cfg(test)]
+    pub(crate) fn merged(&self, other: &VectorClock) -> VectorClock {
         let mut out = self.clone();
         out.merge(other);
         out
@@ -76,18 +72,20 @@ impl VectorClock {
 
     /// `true` iff `self ≤ other` pointwise — `self` is in `other`'s causal
     /// past (or equal to it).
-    pub fn leq(&self, other: &VectorClock) -> bool {
+    pub(crate) fn leq(&self, other: &VectorClock) -> bool {
         let width = self.slots.len().max(other.slots.len());
         (0..width).all(|i| self.get(i) <= other.get(i))
     }
 
     /// `true` iff `self` happens-before `other` (`≤` and not equal).
-    pub fn happens_before(&self, other: &VectorClock) -> bool {
+    #[cfg(test)]
+    pub(crate) fn happens_before(&self, other: &VectorClock) -> bool {
         self.leq(other) && self != other
     }
 
     /// `true` iff neither clock is in the other's causal past.
-    pub fn concurrent_with(&self, other: &VectorClock) -> bool {
+    #[cfg(test)]
+    pub(crate) fn concurrent_with(&self, other: &VectorClock) -> bool {
         !self.leq(other) && !other.leq(self)
     }
 }
@@ -179,7 +177,7 @@ mod tests {
                 prop_assert!(b.leq(&j));
                 // And it is the LEAST upper bound: every slot of the join
                 // equals one of the inputs' slots.
-                for i in 0..j.width() {
+                for i in 0..j.slots.len() {
                     prop_assert!(j.get(i) == a.get(i) || j.get(i) == b.get(i));
                 }
             }
@@ -190,7 +188,7 @@ mod tests {
                 prop_assert!(a.leq(&a));
                 if a.leq(&b) && b.leq(&a) {
                     // Antisymmetry up to trailing-zero padding.
-                    let w = a.width().max(b.width());
+                    let w = a.slots.len().max(b.slots.len());
                     for i in 0..w {
                         prop_assert_eq!(a.get(i), b.get(i));
                     }

@@ -61,37 +61,37 @@ impl EvaderChannel {
     }
 
     /// Rootkit side: is a hide currently requested?
-    pub fn hide_requested(&self) -> bool {
+    pub(crate) fn hide_requested(&self) -> bool {
         self.state.borrow().hide_requested
     }
 
     /// Rootkit side: acknowledge the hide request and start recovering.
-    pub fn begin_hide(&self) {
+    pub(crate) fn begin_hide(&self) {
         let mut s = self.state.borrow_mut();
         s.hide_requested = false;
         s.hides_started += 1;
     }
 
     /// Rootkit side: the traces are clean.
-    pub fn hide_completed(&self) {
+    pub(crate) fn hide_completed(&self) {
         self.state.borrow_mut().hides_completed += 1;
     }
 
     /// Rootkit side: the attack was reinstalled.
-    pub fn record_reinstall(&self) {
+    pub(crate) fn record_reinstall(&self) {
         self.state.borrow_mut().reinstalls += 1;
     }
 
     /// Rootkit side: drop a pending hide request without counting a hide
     /// (used when reinstalling after a stale detection burst).
-    pub fn clear_hide_request(&self) {
+    pub(crate) fn clear_hide_request(&self) {
         self.state.borrow_mut().hide_requested = false;
     }
 
     /// `true` if no detection has fired in the last `quiet` before `now` —
     /// the rootkit's signal that the introspection round is over and it is
     /// safe to resume attacking.
-    pub fn all_clear(&self, now: SimTime, quiet: SimDuration) -> bool {
+    pub(crate) fn all_clear(&self, now: SimTime, quiet: SimDuration) -> bool {
         match self.state.borrow().last_detection {
             None => true,
             Some(t) => now.saturating_since(t) >= quiet,

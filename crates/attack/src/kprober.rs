@@ -34,7 +34,7 @@ pub fn deploy_prober(
 }
 
 /// Deploys the user-level prober (CFS threads).
-pub fn deploy_user_prober(
+pub(crate) fn deploy_user_prober(
     sys: &mut System,
     config: ProberConfig,
     shared: &ProberShared,
@@ -54,7 +54,7 @@ pub fn deploy_kprober_ii(
 }
 
 /// The KProber-I tick hook: reporter + comparer in IRQ context.
-pub struct KProberIHook {
+pub(crate) struct KProberIHook {
     shared: ProberShared,
     config: ProberConfig,
     num_cores: usize,

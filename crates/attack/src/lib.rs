@@ -14,20 +14,17 @@
 //!   (§IV-A2);
 //! - [`channel`]: the in-normal-world coordination between prober and
 //!   rootkit;
-//! - [`evader`]: full TZ-Evader deployment onto a [`satin_system::System`];
+//! - `evader`: full TZ-Evader deployment onto a [`satin_system::System`];
 //! - [`predictor`]: the schedule-predicting evader that random wake-up
 //!   (§V-C) defends against;
 //! - [`race`]: the paper's Equation 1/2 race-condition analytics (§IV-C).
 
 pub mod channel;
-pub mod evader;
+pub(crate) mod evader;
 pub mod kprober;
 pub mod predictor;
 pub mod prober;
 pub mod race;
 pub mod rootkit;
 
-pub use channel::EvaderChannel;
 pub use evader::{TzEvader, TzEvaderConfig};
-pub use prober::{ProbeTargets, ProberConfig, ProberShared};
-pub use race::RaceParams;

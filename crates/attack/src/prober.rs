@@ -100,17 +100,18 @@ impl ProberShared {
     }
 
     /// The largest staleness observed since the last reset.
-    pub fn round_max(&self) -> SimDuration {
+    pub(crate) fn round_max(&self) -> SimDuration {
         self.state.borrow().round_max
     }
 
     /// Number of comparer observations since construction.
-    pub fn observations(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn observations(&self) -> u64 {
         self.state.borrow().observations
     }
 
     /// Resets the per-round maximum (used between measurement rounds).
-    pub fn reset_round(&self) {
+    pub(crate) fn reset_round(&self) {
         self.state.borrow_mut().round_max = SimDuration::ZERO;
     }
 
@@ -150,7 +151,7 @@ impl ProberShared {
 }
 
 /// A reporter+comparer thread body, pinned to one core.
-pub struct ReporterComparerBody {
+pub(crate) struct ReporterComparerBody {
     my_core: CoreId,
     watched: Vec<CoreId>,
     shared: ProberShared,
@@ -190,7 +191,7 @@ impl ThreadBody for ReporterComparerBody {
 }
 
 /// A reporter-only thread body (the target thread of single-core probing).
-pub struct ReporterOnlyBody {
+pub(crate) struct ReporterOnlyBody {
     sleep: SimDuration,
 }
 
@@ -269,7 +270,7 @@ pub fn deploy_prober_threads(
 /// One round of the Table II measurement: run the prober alone (no secure
 /// world activity) for `period` and return the largest observed staleness,
 /// in seconds.
-pub fn measure_round(seed: u64, period: SimDuration, targets: ProbeTargets) -> f64 {
+pub(crate) fn measure_round(seed: u64, period: SimDuration, targets: ProbeTargets) -> f64 {
     let mut sys = satin_system::SystemBuilder::new()
         .seed(seed)
         .trace(false)

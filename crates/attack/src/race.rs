@@ -32,7 +32,7 @@ pub struct RaceParams {
 impl RaceParams {
     /// The worst case for TZ-Evader the paper analyzes in §IV-C:
     /// introspection on an A57 core at its fastest rate; recovery on an A53
-    /// core at its slowest — [`RaceParams::from_timing`] over the `juno-r1`
+    /// core at its slowest — `RaceParams::from_timing` over the `juno-r1`
     /// platform and attacker.
     pub fn paper_worst_case() -> Self {
         let sc = Scenario::paper();
@@ -42,7 +42,7 @@ impl RaceParams {
     /// Derives the worst-case parameters from a timing model and the
     /// attacker: `Tns_sched` is the prober's cadence, `Tns_threshold` its
     /// learned threshold (zero in measurement-only mode).
-    pub fn from_timing(timing: &TimingModel, attack: &AttackProfile) -> Self {
+    pub(crate) fn from_timing(timing: &TimingModel, attack: &AttackProfile) -> Self {
         RaceParams {
             ts_switch: timing.max_ts_switch_secs(),
             ts_1byte: timing.fastest_hash_rate().secs_per_byte(),
@@ -64,7 +64,8 @@ impl RaceParams {
     /// guaranteed — empirically ≈30% of worst-placed bytes survive rounds
     /// scanned by A53 cores. Use this variant to size areas for a true
     /// guarantee (≈544 KB on the calibrated model).
-    pub fn defender_guaranteed(timing: &TimingModel) -> Self {
+    #[cfg(test)]
+    pub(crate) fn defender_guaranteed(timing: &TimingModel) -> Self {
         let slowest_scan = timing.a53.hash_1byte.max.max(timing.a57.hash_1byte.max);
         let fastest_recover = timing.a53.recover.min.min(timing.a57.recover.min);
         RaceParams {

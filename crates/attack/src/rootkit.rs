@@ -57,7 +57,7 @@ enum Phase {
 
 /// One lifecycle event of the rootkit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifecycleEvent {
+pub(crate) enum LifecycleEvent {
     /// The hijack was written at this instant.
     Installed(SimTime),
     /// The traces were restored at this instant.
@@ -85,16 +85,6 @@ pub struct RootkitHandle {
 }
 
 impl RootkitHandle {
-    /// Times the hijack was (re-)installed.
-    pub fn installs(&self) -> u64 {
-        self.inner.borrow().installs
-    }
-
-    /// Times the traces were fully restored.
-    pub fn restores(&self) -> u64 {
-        self.inner.borrow().restores
-    }
-
     /// `true` while the hijack is in place.
     pub fn is_active(&self) -> bool {
         self.inner.borrow().active_since.is_some()
@@ -115,11 +105,6 @@ impl RootkitHandle {
         self.inner.borrow().last_restore_at
     }
 
-    /// The full install/restore history, in time order.
-    pub fn events(&self) -> Vec<LifecycleEvent> {
-        self.inner.borrow().events.clone()
-    }
-
     /// `true` if the hijack was in place at instant `t` (the bytes written
     /// at an install remain malicious until the matching restore).
     pub fn was_active_at(&self, t: SimTime) -> bool {
@@ -137,7 +122,7 @@ impl RootkitHandle {
 
 /// The thread's role in the rootkit's distributed recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RootkitRole {
+pub(crate) enum RootkitRole {
     /// Installs/reinstalls the hijack and participates in recovery.
     Leader,
     /// Only participates in recovery (reacts when the leader's core is the
@@ -146,7 +131,7 @@ pub enum RootkitRole {
 }
 
 /// The rootkit's recovery thread body.
-pub struct RootkitBody {
+pub(crate) struct RootkitBody {
     config: RootkitConfig,
     channel: EvaderChannel,
     handle: RootkitHandle,
@@ -156,7 +141,7 @@ pub struct RootkitBody {
 
 impl RootkitBody {
     /// Creates the body (the leader installs on its first activation).
-    pub fn new(
+    pub(crate) fn new(
         config: RootkitConfig,
         channel: EvaderChannel,
         handle: RootkitHandle,
@@ -363,7 +348,7 @@ mod tests {
             SimTime::from_millis(1),
         );
         s.run_until(SimTime::from_millis(2));
-        assert_eq!(handle.installs(), 1);
+        assert_eq!(handle.inner.borrow().installs, 1);
         assert!(handle.is_active());
         // The table entry now differs from the genuine pointer.
         let table = SyscallTable::new(s.layout());
@@ -388,7 +373,7 @@ mod tests {
         let detect_at = s.now();
         ch.report_detection(detect_at, CoreId::new(0), SimDuration::from_millis(2));
         s.run_until(SimTime::from_millis(30));
-        assert_eq!(handle.restores(), 1);
+        assert_eq!(handle.inner.borrow().restores, 1);
         assert!(!handle.is_active());
         // Restore happened ≈ Tns_recover (A53 ≈ 5.2–6.13 ms) after detection,
         // plus at most one 50µs poll.
@@ -419,7 +404,7 @@ mod tests {
         ch.report_detection(s.now(), CoreId::new(0), SimDuration::from_millis(2));
         // Recovery (~5-6ms) + quiet period (20ms) + margin.
         s.run_until(SimTime::from_millis(60));
-        assert_eq!(handle.installs(), 2, "expected a reinstall");
+        assert_eq!(handle.inner.borrow().installs, 2, "expected a reinstall");
         assert!(handle.is_active());
         let (started, completed, reinstalls) = ch.lifecycle_counts();
         assert_eq!((started, completed, reinstalls), (1, 1, 1));

@@ -8,7 +8,6 @@
 //!   to probe than random-core.
 
 use crate::detection::Cell;
-use satin_attack::prober::{probing_threshold_campaign, ProbeTargets};
 use satin_attack::race::RaceParams;
 use satin_attack::{TzEvader, TzEvaderConfig};
 use satin_core::baseline::{BaselineConfig, NaiveIntrospection};
@@ -132,7 +131,7 @@ fn satin_vs_evader_on(
 /// instant beats the worst-case evasion latency (i.e. bytes at offsets
 /// below Equation 2's protected prefix within their own area). Plans that
 /// respect the §V-B bound score 1.0; a monolithic plan scores ≈0.10.
-pub fn protected_fraction(plan: &satin_core::AreaPlan) -> f64 {
+pub(crate) fn protected_fraction(plan: &satin_core::AreaPlan) -> f64 {
     let s = RaceParams::paper_worst_case().protected_prefix_bytes();
     let protected: u64 = plan.areas().iter().map(|a| a.range.len().min(s)).sum();
     protected as f64 / plan.total_bytes() as f64
@@ -168,23 +167,6 @@ pub fn area_size_sweep(
             Some((max_size, analytic, out))
         })
         .collect()
-}
-
-/// §IV-B2 / §V-D affinity ablation: probing threshold when introspection
-/// uses a fixed core vs all cores. Returns `(all_cores_mean, fixed_mean)`.
-pub fn affinity_probing(period: SimDuration, rounds: usize, seed: u64) -> (f64, f64) {
-    let all = probing_threshold_campaign(seed, period, rounds, ProbeTargets::AllCores);
-    let single = probing_threshold_campaign(
-        seed.wrapping_add(1),
-        period,
-        rounds,
-        ProbeTargets::Single {
-            target: CoreId::new(2),
-            observer: CoreId::new(1),
-        },
-    );
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    (mean(&all), mean(&single))
 }
 
 /// Ablation A4 (§II-B / §V-B): preemptive vs non-preemptive secure world
@@ -313,6 +295,24 @@ pub fn kprober_trace_detection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use satin_attack::prober::{probing_threshold_campaign, ProbeTargets};
+
+    /// §IV-B2 / §V-D affinity ablation: probing threshold when introspection
+    /// uses a fixed core vs all cores. Returns `(all_cores_mean, fixed_mean)`.
+    fn affinity_probing(period: SimDuration, rounds: usize, seed: u64) -> (f64, f64) {
+        let all = probing_threshold_campaign(seed, period, rounds, ProbeTargets::AllCores);
+        let single = probing_threshold_campaign(
+            seed.wrapping_add(1),
+            period,
+            rounds,
+            ProbeTargets::Single {
+                target: CoreId::new(2),
+                observer: CoreId::new(1),
+            },
+        );
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        (mean(&all), mean(&single))
+    }
 
     #[test]
     fn baselines_lose_satin_wins() {

@@ -73,7 +73,7 @@ impl DetectionConfig {
 
     /// The campaign shape `scenario` declares (`campaign.rounds` at
     /// `campaign.tgoal`), untraced; per-cell seeds replace `seed`.
-    pub fn for_scenario(scenario: &Scenario) -> Self {
+    pub(crate) fn for_scenario(scenario: &Scenario) -> Self {
         DetectionConfig {
             rounds: scenario.campaign.rounds,
             tgoal: scenario.campaign.tgoal,
@@ -129,20 +129,10 @@ pub struct DetectionResult {
     pub metrics: MetricsReport,
 }
 
-impl DetectionResult {
-    /// Detection rate over attacked checks (1.0 in the paper).
-    pub fn detection_rate(&self) -> f64 {
-        if self.area14_attacked_checks == 0 {
-            return 1.0;
-        }
-        self.area14_detections as f64 / self.area14_attacked_checks as f64
-    }
-}
-
 /// One SATIN-vs-TZ-Evader cell: a built [`System`] with SATIN installed
 /// and the evader deployed. Every SATIN-vs-TZ-Evader campaign in this
 /// crate runs through one.
-pub struct Cell {
+pub(crate) struct Cell {
     /// The machine the cell runs on.
     pub sys: System,
     /// SATIN's round log.
@@ -158,7 +148,7 @@ impl Cell {
     /// # Errors
     ///
     /// SATIN's boot error.
-    pub fn new(
+    pub(crate) fn new(
         mut sys: System,
         satin_cfg: SatinConfig,
         evader_cfg: TzEvaderConfig,
@@ -180,7 +170,11 @@ impl Cell {
     ///
     /// A scheduled worker abort: it lands between run slices, and the
     /// partial simulation is discarded.
-    pub fn run_rounds(&mut self, rounds: usize, tgoal: SimDuration) -> Result<(), SatinError> {
+    pub(crate) fn run_rounds(
+        &mut self,
+        rounds: usize,
+        tgoal: SimDuration,
+    ) -> Result<(), SatinError> {
         let slice = tgoal / 19;
         let hard_stop = SimTime::ZERO + tgoal * 40;
         while self.handle.round_count() < rounds && self.sys.now() < hard_stop {
@@ -544,6 +538,6 @@ mod tests {
         if let Some(sweep) = r.sweep_secs {
             assert!((12.0..28.0).contains(&sweep), "sweep {sweep}s");
         }
-        assert!((r.detection_rate() - 1.0).abs() < f64::EPSILON);
+        assert_eq!(r.area14_detections, r.area14_attacked_checks);
     }
 }

@@ -17,9 +17,9 @@
 //! | [`ablation`] | Baseline comparisons and design-choice sweeps |
 //! | [`userprober`] | §III-B1 — user-level prober capability and load sensitivity |
 //! | [`analysis`] | `--analyze` — happens-before race detection + Eq.1/Eq.2 audit |
-//! | [`scenario_grid`] | `grid` — the detection campaign swept over scenario profiles |
+//! | `scenario_grid` | `grid` — the detection campaign swept over scenario profiles |
 //!
-//! [`runner`] is the shared harness: a [`CampaignRunner`] fans independent
+//! `runner` is the shared harness: a [`CampaignRunner`] fans independent
 //! seeded campaigns across threads (results in input order, so aggregates
 //! don't depend on the job count), and a [`MetricsReport`] snapshots a
 //! finished system's per-subsystem counters and trace health.
@@ -32,8 +32,8 @@ pub mod detection;
 pub mod fig7;
 pub mod race;
 pub mod recover;
-pub mod runner;
-pub mod scenario_grid;
+pub(crate) mod runner;
+pub(crate) mod scenario_grid;
 pub mod switch;
 pub mod table1;
 pub mod table2;
@@ -43,7 +43,7 @@ pub mod userprober;
 
 pub use analysis::{analyze_campaign, AnalysisRun};
 pub use runner::{CampaignRunner, MetricsReport, RetryPolicy, SeedOutcome};
-pub use scenario_grid::{ScenarioGrid, ScenarioGridReport, ScenarioOutcome};
+pub use scenario_grid::{ScenarioGrid, ScenarioGridReport};
 pub use telemetry_report::{run_traced_race_scenario, TelemetryReport, TracedRace};
 
 /// Default master seed for all experiments (override per run for variance

@@ -57,7 +57,7 @@ impl CampaignRunner {
     /// scheduling accident: callers must only feed it to host-domain
     /// observability (live events, utilization), never into anything that
     /// shapes a result, or the jobs-invariance guarantee breaks.
-    pub fn run<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
+    pub(crate) fn run<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
         I: Sync,
         T: Send,
@@ -120,7 +120,7 @@ impl CampaignRunner {
     /// identity). The stream is assembled from the *returned* cell logs in
     /// input order — never from live-channel arrival — so its JSONL form
     /// is byte-identical for any worker count.
-    pub fn run_seeds_with_retry_observed<T, E, F, L>(
+    pub(crate) fn run_seeds_with_retry_observed<T, E, F, L>(
         &self,
         seeds: &[u64],
         policy: RetryPolicy,
@@ -242,7 +242,7 @@ impl RetryPolicy {
     /// The retry policy a fault plan asks for (`max-attempts` /
     /// `backoff-ms` keys of the `[faults]` section). The empty plan asks
     /// for one attempt and no backoff: failures surface immediately.
-    pub fn from_plan(plan: &FaultPlan) -> Self {
+    pub(crate) fn from_plan(plan: &FaultPlan) -> Self {
         RetryPolicy {
             max_attempts: plan.max_attempts.max(1),
             backoff: Duration::from_millis(plan.backoff_ms),
@@ -254,7 +254,7 @@ impl RetryPolicy {
     /// [`MAX_RETRY_PAUSE`]. The retry loop pauses by this alone, so the
     /// documented 1 s per-pause cap holds for any `backoff_ms × attempt`
     /// and a retry storm cannot hang a batch.
-    pub fn pause_after(&self, attempt: u32) -> Duration {
+    pub(crate) fn pause_after(&self, attempt: u32) -> Duration {
         self.backoff.saturating_mul(attempt).min(MAX_RETRY_PAUSE)
     }
 }
@@ -262,10 +262,10 @@ impl RetryPolicy {
 /// Hard per-pause ceiling for [`RetryPolicy::pause_after`]: backoff grows
 /// linearly with the attempt number but each individual sleep is capped
 /// at 1 s.
-pub const MAX_RETRY_PAUSE: Duration = Duration::from_secs(1);
+pub(crate) const MAX_RETRY_PAUSE: Duration = Duration::from_secs(1);
 
 /// One seed's campaign outcome under
-/// [`CampaignRunner::run_seeds_with_retry_observed`].
+/// `CampaignRunner::run_seeds_with_retry_observed`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SeedOutcome<T> {
     /// The campaign completed, possibly after retries.
@@ -346,7 +346,7 @@ pub struct MetricsReport {
     /// Scan results published to the normal world.
     pub publications: u64,
     /// Sum of fire-to-resume residencies, seconds (see
-    /// [`mean_publication_delay_secs`](MetricsReport::mean_publication_delay_secs)).
+    /// `mean_publication_delay_secs`).
     pub publication_delay_total_secs: f64,
     /// World switches per core, indexed by core id.
     pub per_core_world_switches: Vec<u64>,
@@ -360,7 +360,7 @@ pub struct MetricsReport {
     /// Simulation events dispatched.
     pub events_dispatched: u64,
     /// Integrity alarms the secure service raised
-    /// ([`satin_system::stats::SysStats::alarms`] — counted even when
+    /// (`satin_system::stats::SysStats::alarms` — counted even when
     /// tracing is off).
     pub alarms: u64,
     /// Distribution of publication delays (secure-timer fire to
@@ -433,14 +433,14 @@ impl MetricsReport {
 
     /// Mean publication delay (secure-timer fire to normal-world resume),
     /// seconds; `None` before the first publication.
-    pub fn mean_publication_delay_secs(&self) -> Option<f64> {
+    pub(crate) fn mean_publication_delay_secs(&self) -> Option<f64> {
         (self.publications > 0)
             .then(|| self.publication_delay_total_secs / self.publications as f64)
     }
 
     /// Sums a batch of reports (publication delays stay
     /// publication-weighted; per-core vectors are added elementwise).
-    pub fn merged(reports: &[MetricsReport]) -> Self {
+    pub(crate) fn merged(reports: &[MetricsReport]) -> Self {
         let mut out = MetricsReport::default();
         for r in reports {
             out.world_switches += r.world_switches;

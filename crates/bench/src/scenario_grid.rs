@@ -26,7 +26,7 @@ pub struct ScenarioGrid {
 
 /// One scenario's aggregated campaign results.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
+pub(crate) struct ScenarioOutcome {
     /// Scenario name.
     pub scenario: String,
     /// Compact topology label (e.g. `2xA57+4xA53`).
@@ -39,7 +39,7 @@ pub struct ScenarioOutcome {
 
 impl ScenarioOutcome {
     /// Attacked checks the defender lost (the evader's score).
-    pub fn evasions(&self) -> u64 {
+    pub(crate) fn evasions(&self) -> u64 {
         self.aggregate.area14_attacked_checks - self.aggregate.area14_detections
     }
 }
@@ -50,7 +50,7 @@ pub struct ScenarioGridReport {
     /// Base seed the sweep used.
     pub base_seed: u64,
     /// Per-scenario outcomes, in sweep order.
-    pub outcomes: Vec<ScenarioOutcome>,
+    pub(crate) outcomes: Vec<ScenarioOutcome>,
 }
 
 impl ScenarioGrid {

@@ -84,7 +84,7 @@ impl SecureService for FullScanService {
 ///
 /// Panics if the scenario's platform has no core of `kind` — iterate
 /// `scenario.platform.kinds_present()` to stay safe.
-pub fn measure_cell(
+pub(crate) fn measure_cell(
     scenario: &Scenario,
     kind: CoreKind,
     strategy: ScanStrategy,

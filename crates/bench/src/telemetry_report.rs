@@ -90,7 +90,7 @@ impl TelemetryReport {
     /// injected abort (or any other structured failure) killed — aborts
     /// discard the run, so unlike the other four they never reach the
     /// injector's own stats.
-    pub fn fault_counters(&self) -> [(&'static str, u64); 5] {
+    pub(crate) fn fault_counters(&self) -> [(&'static str, u64); 5] {
         [
             (satin_faults::FAULT_JITTER, self.metrics.fault_jitter_spikes),
             (
@@ -160,7 +160,7 @@ impl TelemetryReport {
     }
 
     /// The report's named histograms, in fixed order.
-    pub fn histograms(&self) -> Vec<(&'static str, &DurationHistogram)> {
+    pub(crate) fn histograms(&self) -> Vec<(&'static str, &DurationHistogram)> {
         vec![
             ("publication_delay_ns", &self.metrics.publication_delay_hist),
             ("hash_window_ns", &self.metrics.hash_window_hist),
@@ -249,11 +249,6 @@ impl TracedRace {
     pub fn chrome_trace(&self) -> String {
         satin_telemetry::chrome_trace(&self.timeline, Some(&self.trace))
     }
-
-    /// The race's spans and instants as line-delimited JSON.
-    pub fn jsonl(&self) -> String {
-        satin_telemetry::jsonl_events(&self.timeline)
-    }
 }
 
 /// Runs one instrumented SATIN-vs-TZ-Evader race for `horizon` of simulated
@@ -325,7 +320,10 @@ mod tests {
         assert!(json.contains("secure.session"));
         let again = run_traced_race_scenario(&Scenario::paper(), 42, SimDuration::from_secs(5));
         assert_eq!(json, again.chrome_trace());
-        assert_eq!(race.jsonl(), again.jsonl());
+        assert_eq!(
+            satin_telemetry::jsonl_events(&race.timeline),
+            satin_telemetry::jsonl_events(&again.timeline)
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct ThresholdPoint {
 
 /// Measures one threshold: a quiet-system FP phase, then an evasion phase
 /// against a periodic monolithic baseline.
-pub fn measure(threshold_secs: f64, seed: u64) -> ThresholdPoint {
+pub(crate) fn measure(threshold_secs: f64, seed: u64) -> ThresholdPoint {
     // Phase 1: quiet system — count detection sessions with no secure world.
     let quiet_secs = 30u64;
     let false_sessions = {

@@ -41,7 +41,7 @@ impl WakePolicy {
 
     /// Draws the next inter-round interval: uniform in `[0, 2·tp]` when
     /// randomized, exactly `tp` otherwise.
-    pub fn next_interval(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn next_interval(&self, rng: &mut SimRng) -> SimDuration {
         if self.randomize {
             SimDuration::from_nanos(rng.int_range_inclusive(0, 2 * self.tp.as_nanos()))
         } else {

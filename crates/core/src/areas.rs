@@ -62,7 +62,7 @@ impl AreaPlan {
 
     /// A single monolithic area covering the whole kernel — the naive
     /// baseline the paper's §IV-C analysis defeats. Useful for ablation.
-    pub fn monolithic(layout: &KernelLayout) -> Self {
+    pub(crate) fn monolithic(layout: &KernelLayout) -> Self {
         AreaPlan {
             areas: vec![Area {
                 id: 0,
@@ -78,7 +78,7 @@ impl AreaPlan {
     ///
     /// [`PlanError::AreaTooLarge`] if a single section already exceeds
     /// `max_size` (sections are indivisible by the paper's rule).
-    pub fn greedy(layout: &KernelLayout, max_size: u64) -> Result<Self, PlanError> {
+    pub(crate) fn greedy(layout: &KernelLayout, max_size: u64) -> Result<Self, PlanError> {
         let mut areas: Vec<Area> = Vec::new();
         let mut current: Option<MemRange> = None;
         for s in layout.sections() {
@@ -119,12 +119,12 @@ impl AreaPlan {
     }
 
     /// Number of areas (`m` in the paper).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.areas.len()
     }
 
     /// `true` if the plan has no areas.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.areas.is_empty()
     }
 
@@ -133,7 +133,7 @@ impl AreaPlan {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn area(&self, id: usize) -> Area {
+    pub(crate) fn area(&self, id: usize) -> Area {
         self.areas[id]
     }
 

@@ -8,7 +8,7 @@
 
 use crate::activation::WakePolicy;
 use crate::areas::AreaPlan;
-use crate::integrity::{Alarm, IntegrityChecker};
+use crate::integrity::IntegrityChecker;
 use satin_hash::HashAlgorithm;
 use satin_hw::timing::ScanStrategy;
 use satin_hw::CoreId;
@@ -75,16 +75,6 @@ impl BaselineHandle {
     /// Rounds that observed tampering.
     pub fn tampered_rounds(&self) -> u64 {
         self.inner.borrow().tampered_rounds
-    }
-
-    /// All alarms.
-    pub fn alarms(&self) -> Vec<Alarm> {
-        self.inner
-            .borrow()
-            .checker
-            .as_ref()
-            .map(|c| c.alarms().to_vec())
-            .unwrap_or_default()
     }
 }
 
@@ -211,7 +201,11 @@ mod tests {
         sys.run_until(SimTime::from_millis(900));
         assert!(handle.rounds() >= 2, "{} rounds", handle.rounds());
         assert_eq!(handle.rounds(), handle.tampered_rounds());
-        assert!(!handle.alarms().is_empty());
+        let inner = handle.inner.borrow();
+        assert!(inner
+            .checker
+            .as_ref()
+            .is_some_and(|c| !c.alarms().is_empty()));
     }
 
     #[test]

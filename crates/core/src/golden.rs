@@ -19,9 +19,8 @@ use satin_secure::SecureStorage;
 
 /// A boot-time golden copy of the invariant sections.
 #[derive(Debug)]
-pub struct GoldenStore {
+pub(crate) struct GoldenStore {
     sections: SecureStorage<Vec<(MemRange, Vec<u8>)>>,
-    total_bytes: u64,
 }
 
 impl GoldenStore {
@@ -31,9 +30,11 @@ impl GoldenStore {
     /// # Errors
     ///
     /// Propagates [`MemError`] if the layout lies outside memory.
-    pub fn capture_at_boot(layout: &KernelLayout, mem: &PhysMemory) -> Result<Self, MemError> {
+    pub(crate) fn capture_at_boot(
+        layout: &KernelLayout,
+        mem: &PhysMemory,
+    ) -> Result<Self, MemError> {
         let mut sections = Vec::new();
-        let mut total = 0u64;
         for s in layout.sections() {
             let invariant = matches!(
                 s.kind(),
@@ -44,26 +45,19 @@ impl GoldenStore {
             );
             if invariant {
                 let bytes = mem.read(s.range())?.to_vec();
-                total += s.range().len();
                 sections.push((s.range(), bytes));
             }
         }
         Ok(GoldenStore {
             sections: SecureStorage::new("golden section store", sections),
-            total_bytes: total,
         })
-    }
-
-    /// Secure-memory footprint of the store, bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// The golden `(range, bytes)` pairs overlapping `area` — what a repair
     /// of that area should write back. Secure world only.
     ///
     /// The returned slices are clipped to the intersection with `area`.
-    pub fn repairs_for(&self, area: MemRange) -> Vec<(MemRange, Vec<u8>)> {
+    pub(crate) fn repairs_for(&self, area: MemRange) -> Vec<(MemRange, Vec<u8>)> {
         let sections = self
             .sections
             .read(World::Secure)
@@ -110,7 +104,14 @@ mod tests {
             })
             .map(|s| s.range().len())
             .sum();
-        assert_eq!(store.total_bytes(), expected);
+        let stored: u64 = store
+            .sections
+            .read(World::Secure)
+            .unwrap()
+            .iter()
+            .map(|(r, _)| r.len())
+            .sum();
+        assert_eq!(stored, expected);
         assert!(expected > 3_000_000, "footprint {expected}");
     }
 

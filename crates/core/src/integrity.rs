@@ -38,7 +38,7 @@ pub struct AreaCoverage {
 
 /// The integrity checking module.
 #[derive(Debug)]
-pub struct IntegrityChecker {
+pub(crate) struct IntegrityChecker {
     algorithm: HashAlgorithm,
     table: SecureStorage<AuthorizedHashTable>,
     coverage: Vec<AreaCoverage>,
@@ -56,7 +56,7 @@ impl IntegrityChecker {
     /// # Errors
     ///
     /// Propagates [`MemError`] if the plan lies outside memory.
-    pub fn measure_at_boot(
+    pub(crate) fn measure_at_boot(
         mem: &PhysMemory,
         plan: &AreaPlan,
         algorithm: HashAlgorithm,
@@ -74,11 +74,6 @@ impl IntegrityChecker {
         })
     }
 
-    /// The hash algorithm in use.
-    pub fn algorithm(&self) -> HashAlgorithm {
-        self.algorithm
-    }
-
     /// Verifies the observed bytes of one round against the authorized
     /// digest, recording coverage and raising an alarm on mismatch.
     ///
@@ -87,7 +82,7 @@ impl IntegrityChecker {
     /// # Panics
     ///
     /// Panics if `area` was never enrolled (a plan/checker mismatch).
-    pub fn check_round(
+    pub(crate) fn check_round(
         &mut self,
         at: SimTime,
         core: CoreId,
@@ -127,7 +122,7 @@ impl IntegrityChecker {
     }
 
     /// All raised alarms.
-    pub fn alarms(&self) -> &[Alarm] {
+    pub(crate) fn alarms(&self) -> &[Alarm] {
         &self.alarms
     }
 
@@ -136,30 +131,20 @@ impl IntegrityChecker {
     /// # Panics
     ///
     /// Panics if `area` is out of range.
-    pub fn coverage(&self, area: usize) -> AreaCoverage {
+    pub(crate) fn coverage(&self, area: usize) -> AreaCoverage {
         self.coverage[area]
     }
 
-    /// Total rounds performed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// Number of complete kernel sweeps (the minimum per-area check count).
-    pub fn full_sweeps(&self) -> u64 {
+    pub(crate) fn full_sweeps(&self) -> u64 {
         self.coverage.iter().map(|c| c.checks).min().unwrap_or(0)
     }
 
     /// Mean gap between consecutive checks of `area`, seconds
     /// (§VI-B1 reports ≈141 s for area 14 at tp = 8 s).
-    pub fn mean_check_gap_secs(&self, area: usize) -> Option<f64> {
+    pub(crate) fn mean_check_gap_secs(&self, area: usize) -> Option<f64> {
         let n = self.gap_counts[area];
         (n > 0).then(|| self.gap_sums[area] / n as f64)
-    }
-
-    /// The authorized table (secure world only).
-    pub fn table(&self) -> &SecureStorage<AuthorizedHashTable> {
-        &self.table
     }
 }
 
@@ -183,7 +168,7 @@ mod tests {
         let bytes = mem.read(a.range).unwrap();
         let out = checker.check_round(SimTime::from_secs(8), CoreId::new(1), 2, bytes);
         assert_eq!(out, VerifyOutcome::Clean);
-        assert_eq!(checker.rounds(), 1);
+        assert_eq!(checker.rounds, 1);
         assert_eq!(checker.coverage(2).checks, 1);
         assert!(checker.alarms().is_empty());
     }
@@ -234,7 +219,7 @@ mod tests {
             }
         }
         assert_eq!(checker.full_sweeps(), 2);
-        assert_eq!(checker.rounds(), 38);
+        assert_eq!(checker.rounds, 38);
     }
 
     #[test]
@@ -248,6 +233,6 @@ mod tests {
     #[test]
     fn table_not_readable_from_normal_world() {
         let (_, _, _, checker) = setup();
-        assert!(checker.table().read(World::Normal).is_err());
+        assert!(checker.table.read(World::Normal).is_err());
     }
 }

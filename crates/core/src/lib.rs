@@ -25,13 +25,13 @@
 pub mod activation;
 pub mod areas;
 pub mod baseline;
-pub mod error;
-pub mod golden;
-pub mod integrity;
+pub(crate) mod error;
+pub(crate) mod golden;
+pub(crate) mod integrity;
 pub mod queue;
 pub mod satin;
 
 pub use areas::{Area, AreaPlan, KernelAreaSet};
 pub use error::PlanError;
-pub use integrity::{Alarm, IntegrityChecker};
+pub use integrity::Alarm;
 pub use satin::{CorePolicy, Satin, SatinConfig, SatinHandle};

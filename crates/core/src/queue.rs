@@ -49,7 +49,12 @@ impl WakeQueue {
     /// the queue first if all slots were taken. The returned time is clamped
     /// to be strictly after `now` (a core that overslept a slot fires as
     /// soon as possible).
-    pub fn extract(&mut self, now: SimTime, policy: &WakePolicy, rng: &mut SimRng) -> SimTime {
+    pub(crate) fn extract(
+        &mut self,
+        now: SimTime,
+        policy: &WakePolicy,
+        rng: &mut SimRng,
+    ) -> SimTime {
         if self.slots.is_empty() {
             // Refill from the previous horizon (not from `now`): this keeps
             // a non-randomized policy exactly on its tp grid, with per-slot
@@ -61,16 +66,6 @@ impl WakeQueue {
         let t = self.slots.swap_remove(idx);
         let min = now + SimDuration::from_micros(1);
         t.max_of(min)
-    }
-
-    /// Slots not yet extracted.
-    pub fn remaining(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of refreshes performed after boot.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
     }
 
     fn refill(&mut self, policy: &WakePolicy, rng: &mut SimRng) {
@@ -99,8 +94,8 @@ mod tests {
     fn initial_queue_has_one_slot_per_core() {
         let mut rng = SimRng::seed_from(1);
         let q = WakeQueue::new(SimTime::ZERO, 6, &policy(), &mut rng);
-        assert_eq!(q.remaining(), 6);
-        assert_eq!(q.refreshes(), 0);
+        assert_eq!(q.slots.len(), 6);
+        assert_eq!(q.refreshes, 0);
     }
 
     #[test]
@@ -111,10 +106,10 @@ mod tests {
         for _ in 0..4 {
             let _ = q.extract(SimTime::ZERO, &p, &mut rng);
         }
-        assert_eq!(q.remaining(), 0);
+        assert_eq!(q.slots.len(), 0);
         let _ = q.extract(SimTime::from_secs(1), &p, &mut rng);
-        assert_eq!(q.refreshes(), 1);
-        assert_eq!(q.remaining(), 3);
+        assert_eq!(q.refreshes, 1);
+        assert_eq!(q.slots.len(), 3);
     }
 
     #[test]
@@ -171,8 +166,8 @@ mod tests {
                 for _ in 0..cores {
                     let _ = q.extract(SimTime::ZERO, &p, &mut rng);
                 }
-                prop_assert_eq!(q.remaining(), 0);
-                prop_assert_eq!(q.refreshes(), round);
+                prop_assert_eq!(q.slots.len(), 0);
+                prop_assert_eq!(q.refreshes, round);
             }
         }
     }

@@ -185,11 +185,6 @@ impl Satin {
             SatinHandle { inner },
         )
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &SatinConfig {
-        &self.config
-    }
 }
 
 impl SecureService for Satin {

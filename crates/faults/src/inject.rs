@@ -77,24 +77,12 @@ pub const FAULT_CORRUPT_WINDOW: &str = "fault.corrupt_window";
 pub const FAULT_ABORT: &str = "fault.abort";
 
 impl FaultStats {
-    /// Did any fault fire?
-    pub fn any(&self) -> bool {
-        *self != FaultStats::default()
-    }
-
-    /// Total faults fired.
-    pub fn total(&self) -> u64 {
-        self.jitter_spikes
-            + self.publications_dropped
-            + self.publications_delayed
-            + self.windows_corrupted
-    }
-
     /// The stats as `(canonical counter name, count)` pairs, in the fixed
     /// name order shared by event streams and `--metrics-json` output.
     /// Worker aborts are not counted here — they surface as campaign
     /// errors, not injector stats.
-    pub fn counters(&self) -> [(&'static str, u64); 4] {
+    #[cfg(test)]
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 4] {
         [
             (FAULT_JITTER, self.jitter_spikes),
             (FAULT_DROPPED_PUB, self.publications_dropped),
@@ -166,16 +154,6 @@ impl FaultInjector {
             attempt,
             stats: FaultStats::default(),
         }
-    }
-
-    /// The campaign seed this injector is armed for.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The 1-based attempt number this injector is armed for.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 
     /// Counters of faults fired so far.
@@ -274,7 +252,7 @@ mod tests {
         assert!(!inj.corrupt_window(at(10), &mut buf));
         assert_eq!(buf, [1, 2, 3]);
         inj.check_abort(at(10)).unwrap();
-        assert!(!inj.stats().any());
+        assert_eq!(inj.stats(), FaultStats::default());
     }
 
     #[test]
@@ -330,7 +308,8 @@ mod tests {
             PublicationFate::Delay(SimDuration::from_micros(5))
         );
         assert_eq!(inj.publication_fate(at(4)), PublicationFate::Deliver);
-        assert_eq!(inj.stats().total(), 2);
+        assert_eq!(inj.stats().publications_dropped, 1);
+        assert_eq!(inj.stats().publications_delayed, 1);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! `satin-scenario` so every layer that speaks `Scenario` can carry it)
 //! is armed here as a [`FaultInjector`] for one `(seed, attempt)` run:
 //!
-//! - [`inject`]: the injector — scheduler-jitter spikes, dropped or
+//! - `inject`: the injector — scheduler-jitter spikes, dropped or
 //!   delayed cross-core publications, corrupted hash windows, and
 //!   scheduled worker aborts, all RNG-free so runs stay byte-identical
 //!   across `--jobs` values;
-//! - [`error`]: [`SatinError`], the workspace-wide aggregate every
+//! - `error`: [`SatinError`], the workspace-wide aggregate every
 //!   fallible campaign path returns instead of panicking — injected
 //!   faults surface as structured `SeedOutcome::Failed` rows, never as
 //!   process aborts.
@@ -38,8 +38,8 @@
 //!     .is_err());
 //! ```
 
-pub mod error;
-pub mod inject;
+pub(crate) mod error;
+pub(crate) mod inject;
 
 pub use error::SatinError;
 pub use inject::{

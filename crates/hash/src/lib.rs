@@ -15,7 +15,7 @@
 //! craft collisions offline (any modification of the monitored bytes is a
 //! detection target regardless of digest behaviour).
 
-pub mod table;
+pub(crate) mod table;
 
 pub use table::{AuthorizedHashTable, VerifyOutcome};
 
@@ -64,12 +64,6 @@ impl HashAlgorithm {
         HashAlgorithm::Sdbm,
         HashAlgorithm::Fnv1a,
     ];
-
-    /// Creates an enum-dispatched hasher for this algorithm (no allocation,
-    /// no virtual call).
-    pub fn kind(self) -> HasherKind {
-        HasherKind::new(self)
-    }
 
     /// Stable lowercase name.
     pub fn name(self) -> &'static str {
@@ -172,7 +166,7 @@ impl HasherKind {
     }
 
     /// Resets to the initial state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         match self {
             HasherKind::Djb2(h) => KernelHasher::reset(h),
             HasherKind::Sdbm(h) => KernelHasher::reset(h),
@@ -199,7 +193,7 @@ impl HasherKind {
     }
 
     /// Stable algorithm name.
-    pub fn algorithm(&self) -> HashAlgorithm {
+    pub(crate) fn algorithm(&self) -> HashAlgorithm {
         match self {
             HasherKind::Djb2(_) => HashAlgorithm::Djb2,
             HasherKind::Sdbm(_) => HashAlgorithm::Sdbm,
@@ -275,7 +269,7 @@ impl Sdbm {
     const M: u64 = 65599;
 
     /// Creates a hasher in the initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sdbm { state: 0 }
     }
 }
@@ -308,7 +302,7 @@ impl Fnv1a {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// Creates a hasher in the initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv1a {
             state: Self::OFFSET,
         }
@@ -394,7 +388,7 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         for alg in HashAlgorithm::ALL {
-            let mut h = alg.kind();
+            let mut h = HasherKind::new(alg);
             h.update(b"garbage");
             h.reset();
             h.update(b"x");
@@ -493,7 +487,7 @@ mod tests {
     fn kind_reports_its_algorithm_and_resets() {
         let input = b"secure-world scan window";
         for alg in HashAlgorithm::ALL {
-            let mut kind = alg.kind();
+            let mut kind = HasherKind::new(alg);
             kind.update(input);
             assert_eq!(kind.algorithm(), alg);
             kind.reset();
@@ -511,7 +505,7 @@ mod tests {
         ) {
             let split = split.min(data.len());
             for alg in HashAlgorithm::ALL {
-                let mut h = alg.kind();
+                let mut h = HasherKind::new(alg);
                 h.update(&data[..split]);
                 h.update(&data[split..]);
                 prop_assert_eq!(h.finish(), hash_bytes(alg, &data));

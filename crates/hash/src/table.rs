@@ -70,11 +70,6 @@ impl AuthorizedHashTable {
         self.digests.insert(area, digest)
     }
 
-    /// The authorized digest for `area`, if enrolled.
-    pub fn digest(&self, area: usize) -> Option<u64> {
-        self.digests.get(&area).copied()
-    }
-
     /// Number of enrolled areas.
     pub fn len(&self) -> usize {
         self.digests.len()
@@ -95,7 +90,8 @@ impl AuthorizedHashTable {
     }
 
     /// Iterates enrolled `(area, digest)` pairs in area order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.digests.iter().map(|(a, d)| (*a, *d))
     }
 }
@@ -112,7 +108,7 @@ mod tests {
         let d = hash_bytes(HashAlgorithm::Djb2, b"area zero");
         assert_eq!(t.enroll(0, d), None);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.digest(0), Some(d));
+        assert_eq!(t.digests.get(&0).copied(), Some(d));
         assert_eq!(t.verify(0, d), VerifyOutcome::Clean);
     }
 
@@ -141,7 +137,7 @@ mod tests {
         let mut t = AuthorizedHashTable::new(HashAlgorithm::Sdbm);
         t.enroll(1, 10);
         assert_eq!(t.enroll(1, 20), Some(10));
-        assert_eq!(t.digest(1), Some(20));
+        assert_eq!(t.digests.get(&1).copied(), Some(20));
     }
 
     #[test]

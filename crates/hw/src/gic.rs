@@ -1,4 +1,4 @@
-//! Generic Interrupt Controller model: secure/non-secure grouping and routing.
+//! Generic Interrupt Controller: the routing configuration.
 //!
 //! Paper §II-B: the ARM interrupt management framework guarantees (1) secure
 //! interrupts are always handled by the secure world, even when execution is
@@ -9,60 +9,6 @@
 //! interrupts cannot preempt a round (§V-B).
 
 use std::fmt;
-
-/// Interrupt group — TrustZone's security classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InterruptGroup {
-    /// Group 0: secure interrupts (e.g. the per-core secure timer).
-    Secure,
-    /// Group 1: non-secure interrupts (rich OS timer tick, devices).
-    NonSecure,
-}
-
-/// A platform interrupt line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Interrupt {
-    /// Interrupt id.
-    pub id: u32,
-    /// Security group.
-    pub group: InterruptGroup,
-}
-
-impl Interrupt {
-    /// The per-core secure physical timer interrupt (id 29 on the Juno GIC).
-    pub const SECURE_TIMER: Interrupt = Interrupt {
-        id: 29,
-        group: InterruptGroup::Secure,
-    };
-
-    /// The non-secure per-core timer tick (id 30).
-    pub const NS_TIMER: Interrupt = Interrupt {
-        id: 30,
-        group: InterruptGroup::NonSecure,
-    };
-}
-
-impl fmt::Display for Interrupt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let g = match self.group {
-            InterruptGroup::Secure => "S",
-            InterruptGroup::NonSecure => "NS",
-        };
-        write!(f, "irq{}({g})", self.id)
-    }
-}
-
-/// Where the interrupt controller delivers an interrupt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingDecision {
-    /// Deliver to the normal-world handler (EL1 vector table).
-    ToNormalWorld,
-    /// Deliver to the secure world (secure timer handler at S-EL1).
-    ToSecureWorld,
-    /// Hold pending until the secure world finishes its current task
-    /// (non-preemptive secure mode — SATIN's configuration).
-    PendUntilSecureExit,
-}
 
 /// How non-secure interrupts are routed while a core is in the secure world:
 /// the `SCR_EL3.IRQ` bit the paper manipulates, with the stable names
@@ -80,7 +26,7 @@ pub enum RoutingKind {
 
 impl RoutingKind {
     /// Both kinds, in display order.
-    pub const ALL: [RoutingKind; 2] = [RoutingKind::Satin, RoutingKind::Preemptive];
+    pub(crate) const ALL: [RoutingKind; 2] = [RoutingKind::Satin, RoutingKind::Preemptive];
 
     /// `SCR_EL3.IRQ`: when set, non-secure interrupts trap to EL3 even while
     /// the secure world runs.
@@ -108,8 +54,10 @@ impl fmt::Display for RoutingKind {
     }
 }
 
-/// The distributor: decides where an interrupt goes given the current world
-/// of the target core.
+/// The distributor's routing configuration. The machine reads
+/// [`RoutingKind::irq_to_el3`] when a secure session starts: secure timer
+/// interrupts always enter the secure world, and normal-world interrupts
+/// either pend until it exits or preempt it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Gic {
     config: RoutingKind,
@@ -117,33 +65,13 @@ pub struct Gic {
 
 impl Gic {
     /// Creates a GIC with the given routing configuration.
-    pub const fn new(config: RoutingKind) -> Self {
+    pub(crate) const fn new(config: RoutingKind) -> Self {
         Gic { config }
     }
 
     /// Current routing configuration.
     pub const fn config(&self) -> RoutingKind {
         self.config
-    }
-
-    /// Routes `interrupt` arriving while the target core is (or is not) in
-    /// the secure world.
-    ///
-    /// Requirement 1 of §II-B: secure interrupts always reach the secure
-    /// world. Requirement 2: non-secure interrupts reach the normal world,
-    /// except that with `SCR_EL3.IRQ = 0` they pend while the core is in the
-    /// secure world.
-    pub fn route(&self, interrupt: Interrupt, core_in_secure_world: bool) -> RoutingDecision {
-        match interrupt.group {
-            InterruptGroup::Secure => RoutingDecision::ToSecureWorld,
-            InterruptGroup::NonSecure => {
-                if core_in_secure_world && !self.config.irq_to_el3() {
-                    RoutingDecision::PendUntilSecureExit
-                } else {
-                    RoutingDecision::ToNormalWorld
-                }
-            }
-        }
     }
 }
 
@@ -152,38 +80,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn secure_interrupts_always_reach_secure_world() {
-        for cfg in RoutingKind::ALL {
-            let gic = Gic::new(cfg);
-            for in_secure in [false, true] {
-                assert_eq!(
-                    gic.route(Interrupt::SECURE_TIMER, in_secure),
-                    RoutingDecision::ToSecureWorld
-                );
-            }
-        }
-    }
-
-    #[test]
     fn satin_config_pends_ns_interrupts_during_introspection() {
-        let gic = Gic::new(RoutingKind::Satin);
-        assert_eq!(
-            gic.route(Interrupt::NS_TIMER, true),
-            RoutingDecision::PendUntilSecureExit
-        );
-        assert_eq!(
-            gic.route(Interrupt::NS_TIMER, false),
-            RoutingDecision::ToNormalWorld
-        );
+        // `SCR_EL3.IRQ = 0`: a normal-world interrupt that arrives while a
+        // core introspects waits for the secure world to exit.
+        assert!(!Gic::new(RoutingKind::Satin).config().irq_to_el3());
     }
 
     #[test]
     fn preemptive_config_delivers_ns_interrupts_immediately() {
-        let gic = Gic::new(RoutingKind::Preemptive);
-        assert_eq!(
-            gic.route(Interrupt::NS_TIMER, true),
-            RoutingDecision::ToNormalWorld
-        );
+        assert!(Gic::new(RoutingKind::Preemptive).config().irq_to_el3());
     }
 
     #[test]
@@ -194,7 +99,7 @@ mod tests {
 
     #[test]
     fn display() {
-        assert_eq!(Interrupt::SECURE_TIMER.to_string(), "irq29(S)");
-        assert_eq!(Interrupt::NS_TIMER.to_string(), "irq30(NS)");
+        assert_eq!(RoutingKind::Satin.to_string(), "satin");
+        assert_eq!(RoutingKind::Preemptive.to_string(), "preemptive");
     }
 }

@@ -5,35 +5,34 @@
 //! development board — at the level of detail the paper's race condition
 //! requires:
 //!
-//! - [`topology`]: 2× Cortex-A57 ("big") + 4× Cortex-A53 ("LITTLE") cores;
+//! - `topology`: 2× Cortex-A57 ("big") + 4× Cortex-A53 ("LITTLE") cores;
 //! - [`timing`]: per-core-kind timing distributions calibrated to the paper's
 //!   Table I and §IV-B measurements;
-//! - [`world`]: the TrustZone two-world model and ARMv8-A exception levels;
-//! - [`timers`]: the shared physical counter `CNTPCT_EL0` and per-core secure
-//!   timers `CNTPS_CTL_EL1`/`CNTPS_CVAL_EL1`, writable only from the secure
-//!   world;
-//! - [`gic`]: secure/non-secure interrupt grouping and routing, including the
-//!   `SCR_EL3.IRQ` configuration SATIN uses to stay non-preemptible;
+//! - `world`: the TrustZone two-world model;
+//! - [`timers`]: per-core secure timers `CNTPS_CTL_EL1`/`CNTPS_CVAL_EL1`,
+//!   writable only from the secure world (the shared counter `CNTPCT_EL0`
+//!   they compare against is simulated time itself);
+//! - `gic`: the `SCR_EL3.IRQ` routing configuration SATIN uses to stay
+//!   non-preemptible;
 //! - [`monitor`]: the EL3 secure monitor's world-switch state machine;
-//! - [`platform`]: the assembled machine.
+//! - `platform`: the assembled machine.
 //!
 //! Everything here is a *passive state machine*: the `satin-system` crate owns
 //! the event loop and drives these models with simulated time.
 
-pub mod error;
-pub mod gic;
+pub(crate) mod error;
+pub(crate) mod gic;
 pub mod monitor;
-pub mod platform;
+pub(crate) mod platform;
 pub mod profile;
 pub mod timers;
 pub mod timing;
-pub mod topology;
-pub mod world;
+pub(crate) mod topology;
+pub(crate) mod world;
 
 pub use error::HwError;
 pub use gic::RoutingKind;
 pub use platform::Platform;
-pub use profile::PlatformSpec;
 pub use timing::{CoreCalibration, TimingModel, TriSpec};
 pub use topology::{CoreId, CoreKind, Topology};
-pub use world::{ExceptionLevel, World};
+pub use world::World;

@@ -32,8 +32,6 @@ use satin_sim::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct SecureMonitor {
     worlds: Vec<World>,
-    /// Count of world round-trips per core, for overhead accounting.
-    entries: Vec<u64>,
 }
 
 impl SecureMonitor {
@@ -46,7 +44,6 @@ impl SecureMonitor {
         assert!(num_cores > 0, "monitor needs at least one core");
         SecureMonitor {
             worlds: vec![World::Normal; num_cores],
-            entries: vec![0; num_cores],
         }
     }
 
@@ -57,14 +54,6 @@ impl SecureMonitor {
     /// Panics if `core` is out of range.
     pub fn world(&self, core: CoreId) -> World {
         self.worlds
-            .get(core.index())
-            .copied()
-            .expect("core id within monitor range")
-    }
-
-    /// Number of secure-world entries `core` has performed.
-    pub fn entry_count(&self, core: CoreId) -> u64 {
-        self.entries
             .get(core.index())
             .copied()
             .expect("core id within monitor range")
@@ -96,10 +85,6 @@ impl SecureMonitor {
             .worlds
             .get_mut(core.index())
             .expect("core validated by world_checked") = World::Secure;
-        *self
-            .entries
-            .get_mut(core.index())
-            .expect("core validated by world_checked") += 1;
         Ok(now + switch_cost)
     }
 
@@ -131,20 +116,6 @@ impl SecureMonitor {
         Ok(now + switch_cost)
     }
 
-    /// Ids of cores currently in the secure world.
-    pub fn cores_in_secure(&self) -> impl Iterator<Item = CoreId> + '_ {
-        self.worlds
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.is_secure())
-            .map(|(i, _)| CoreId::new(i))
-    }
-
-    /// Number of cores this monitor manages.
-    pub fn num_cores(&self) -> usize {
-        self.worlds.len()
-    }
-
     fn world_checked(&self, core: CoreId) -> Result<World, HwError> {
         self.worlds
             .get(core.index())
@@ -166,7 +137,6 @@ mod tests {
         let enter_done = mon.enter_secure(c, t0, cost).unwrap();
         assert_eq!(enter_done, SimTime::from_micros(103));
         assert_eq!(mon.world(c), World::Secure);
-        assert_eq!(mon.entry_count(c), 1);
         let exit_done = mon.exit_secure(c, enter_done, cost).unwrap();
         assert_eq!(exit_done, SimTime::from_micros(106));
         assert_eq!(mon.world(c), World::Normal);
@@ -209,8 +179,7 @@ mod tests {
         let mut mon = SecureMonitor::new(6);
         mon.enter_secure(CoreId::new(3), SimTime::ZERO, SimDuration::ZERO)
             .unwrap();
-        let secure: Vec<_> = mon.cores_in_secure().collect();
-        assert_eq!(secure, vec![CoreId::new(3)]);
+        assert_eq!(mon.world(CoreId::new(3)), World::Secure);
         for i in [0usize, 1, 2, 4, 5] {
             assert_eq!(mon.world(CoreId::new(i)), World::Normal);
         }

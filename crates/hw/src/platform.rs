@@ -2,10 +2,9 @@
 
 use crate::gic::{Gic, RoutingKind};
 use crate::monitor::SecureMonitor;
-use crate::timers::{PhysicalCounter, SecureTimer};
+use crate::timers::SecureTimer;
 use crate::timing::TimingModel;
 use crate::topology::{CoreId, CoreKind, Topology};
-use crate::world::World;
 use crate::HwError;
 
 /// The simulated ARM Juno r1-like machine: topology + timing + monitor +
@@ -31,7 +30,6 @@ pub struct Platform {
     monitor: SecureMonitor,
     gic: Gic,
     secure_timers: Vec<SecureTimer>,
-    counter: PhysicalCounter,
 }
 
 impl Platform {
@@ -52,7 +50,6 @@ impl Platform {
             monitor: SecureMonitor::new(n),
             gic: Gic::new(routing),
             secure_timers: vec![SecureTimer::new(); n],
-            counter: PhysicalCounter,
         }
     }
 
@@ -90,16 +87,6 @@ impl Platform {
         &self.gic
     }
 
-    /// The shared physical counter.
-    pub fn counter(&self) -> PhysicalCounter {
-        self.counter
-    }
-
-    /// The world `core` currently executes in.
-    pub fn world(&self, core: CoreId) -> World {
-        self.monitor.world(core)
-    }
-
     /// `core`'s secure timer.
     ///
     /// # Errors
@@ -124,7 +111,8 @@ impl Platform {
     }
 
     /// The earliest pending secure-timer fire across all cores, if any.
-    pub fn next_secure_timer_fire(&self) -> Option<(CoreId, satin_sim::SimTime)> {
+    #[cfg(test)]
+    pub(crate) fn next_secure_timer_fire(&self) -> Option<(CoreId, satin_sim::SimTime)> {
         self.secure_timers
             .iter()
             .enumerate()
@@ -136,6 +124,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::World;
     use satin_sim::SimTime;
 
     #[test]
@@ -145,7 +134,7 @@ mod tests {
         assert_eq!(p.core_kind(CoreId::new(0)), CoreKind::A57);
         assert_eq!(p.core_kind(CoreId::new(5)), CoreKind::A53);
         assert!(!p.gic().config().irq_to_el3());
-        assert_eq!(p.world(CoreId::new(0)), World::Normal);
+        assert_eq!(p.monitor().world(CoreId::new(0)), World::Normal);
     }
 
     #[test]
@@ -163,9 +152,10 @@ mod tests {
             .unwrap()
             .next_fire()
             .is_none());
-        let (core, at) = p.next_secure_timer_fire().unwrap();
-        assert_eq!(core, CoreId::new(1));
-        assert_eq!(at, SimTime::from_secs(2));
+        assert_eq!(
+            p.secure_timer(CoreId::new(1)).unwrap().next_fire(),
+            Some(SimTime::from_secs(2))
+        );
     }
 
     #[test]

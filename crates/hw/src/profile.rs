@@ -118,11 +118,6 @@ impl PlatformSpec {
         )
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// The id of the `n`-th (0-based) core of `kind`, if present.
     /// Experiments use this to pick measurement cores declaratively
     /// (e.g. "the second big core") instead of hard-coding Juno ids.

@@ -1,4 +1,4 @@
-//! The ARM generic timer: shared physical counter and per-core secure timers.
+//! The ARM generic timer's per-core secure timers.
 //!
 //! Paper §V-C / §VI-A1: each TrustZone-enabled core has an individual secure
 //! timer that can only be read or written with secure-world privilege. SATIN's
@@ -87,16 +87,6 @@ impl SecureTimer {
         Ok(())
     }
 
-    /// Reads the enable bit.
-    ///
-    /// # Errors
-    ///
-    /// [`HwError::SecureAccessDenied`] if `from` is the normal world.
-    pub fn is_enabled(&self, from: World) -> Result<bool, HwError> {
-        self.check(from, "CNTPS_CTL_EL1")?;
-        Ok(self.enabled)
-    }
-
     /// `true` when the timer is armed and the shared counter `now` has
     /// reached the compare value ("becomes equal to or greater than",
     /// §VI-A1).
@@ -118,22 +108,6 @@ impl SecureTimer {
     }
 }
 
-/// The shared physical counter (`CNTPCT_EL0`), readable from both worlds.
-///
-/// In the simulation the counter *is* simulated time; this type exists so
-/// kernel and attack code read time through the same architectural register
-/// the paper's probers use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhysicalCounter;
-
-impl PhysicalCounter {
-    /// Reads the counter. Both worlds may read it; there is no secret here —
-    /// which is exactly why the paper's prober can use it as a side channel.
-    pub fn read(self, now: SimTime) -> SimTime {
-        now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +121,6 @@ mod tests {
         ));
         assert!(t.read_cval(World::Normal).is_err());
         assert!(t.set_enabled(World::Normal, true).is_err());
-        assert!(t.is_enabled(World::Normal).is_err());
         // The failed writes must not have armed anything.
         assert!(!t.should_fire(SimTime::MAX));
     }
@@ -180,11 +153,5 @@ mod tests {
         assert!(t.should_fire(SimTime::from_nanos(5)));
         t.set_enabled(World::Secure, false).unwrap();
         assert!(!t.should_fire(SimTime::from_nanos(6)));
-    }
-
-    #[test]
-    fn counter_readable_by_both_worlds() {
-        let c = PhysicalCounter;
-        assert_eq!(c.read(SimTime::from_secs(3)), SimTime::from_secs(3));
     }
 }

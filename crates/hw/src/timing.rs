@@ -66,14 +66,6 @@ impl ByteRate {
     pub fn duration_for(self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(self.0 * bytes as f64)
     }
-
-    /// Number of whole bytes scanned after `elapsed` time at this rate.
-    // The rate is finite and positive (asserted in `new`), so the quotient
-    // is non-negative; a float cast saturates rather than wraps.
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn bytes_in(self, elapsed: SimDuration) -> u64 {
-        (elapsed.as_secs_f64() / self.0).floor() as u64
-    }
 }
 
 /// The introspection strategy whose per-byte cost Table I compares.
@@ -130,7 +122,7 @@ impl TriSpec {
     }
 
     /// The distribution this spec calibrates.
-    pub fn dist(&self) -> Triangular {
+    pub(crate) fn dist(&self) -> Triangular {
         Triangular::from_min_mean_max(self.min, self.mean, self.max)
     }
 }
@@ -246,7 +238,7 @@ impl TimingModel {
     }
 
     /// The calibration of a core kind.
-    pub fn profile(&self, kind: CoreKind) -> &CoreCalibration {
+    pub(crate) fn profile(&self, kind: CoreKind) -> &CoreCalibration {
         match kind {
             CoreKind::A53 => &self.a53,
             CoreKind::A57 => &self.a57,
@@ -418,8 +410,6 @@ mod tests {
     fn byte_rate_durations() {
         let r = ByteRate::new(1e-8);
         assert_eq!(r.duration_for(100).as_nanos(), 1_000);
-        assert_eq!(r.bytes_in(SimDuration::from_micros(1)), 100);
-        assert_eq!(r.bytes_in(SimDuration::ZERO), 0);
     }
 
     #[test]

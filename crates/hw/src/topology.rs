@@ -50,7 +50,7 @@ pub enum CoreKind {
 
 impl CoreKind {
     /// Both kinds, in LITTLE-to-big order.
-    pub const ALL: [CoreKind; 2] = [CoreKind::A53, CoreKind::A57];
+    pub(crate) const ALL: [CoreKind; 2] = [CoreKind::A53, CoreKind::A57];
 
     /// Stable display name.
     pub fn name(self) -> &'static str {
@@ -108,7 +108,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `kinds` is empty — a platform needs at least one core.
-    pub fn new(kinds: Vec<CoreKind>) -> Self {
+    pub(crate) fn new(kinds: Vec<CoreKind>) -> Self {
         assert!(!kinds.is_empty(), "topology needs at least one core");
         Topology { kinds }
     }
@@ -136,16 +136,11 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn kind(&self, core: CoreId) -> CoreKind {
+    pub(crate) fn kind(&self, core: CoreId) -> CoreKind {
         self.kinds
             .get(core.index())
             .copied()
             .expect("core id within topology")
-    }
-
-    /// `true` if `core` exists on this platform.
-    pub fn contains(&self, core: CoreId) -> bool {
-        core.index() < self.kinds.len()
     }
 
     /// Iterates over all core ids.
@@ -181,8 +176,7 @@ mod tests {
     #[test]
     fn contains_bounds() {
         let t = Topology::juno_r1();
-        assert!(t.contains(CoreId::new(5)));
-        assert!(!t.contains(CoreId::new(6)));
+        assert_eq!(t.cores().last(), Some(CoreId::new(5)));
     }
 
     #[test]

@@ -37,8 +37,9 @@ impl fmt::Display for World {
 /// There is no S-EL2: the secure world has no hypervisor layer. SATIN's
 /// introspection modules live at S-EL1 (inside the Test Secure Payload);
 /// the secure monitor lives at EL3.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExceptionLevel {
+pub(crate) enum ExceptionLevel {
     /// Normal-world user applications.
     El0,
     /// Normal-world guest OS kernel (the rich OS).
@@ -53,9 +54,10 @@ pub enum ExceptionLevel {
     SEl1,
 }
 
+#[cfg(test)]
 impl ExceptionLevel {
     /// The world this level belongs to. EL3 belongs to the secure world.
-    pub fn world(self) -> World {
+    pub(crate) fn world(self) -> World {
         match self {
             ExceptionLevel::El0 | ExceptionLevel::El1 | ExceptionLevel::El2 => World::Normal,
             ExceptionLevel::El3 | ExceptionLevel::SEl0 | ExceptionLevel::SEl1 => World::Secure,
@@ -63,7 +65,7 @@ impl ExceptionLevel {
     }
 
     /// Numeric privilege rank within its world (higher = more privileged).
-    pub fn privilege_rank(self) -> u8 {
+    pub(crate) fn privilege_rank(self) -> u8 {
         match self {
             ExceptionLevel::El0 | ExceptionLevel::SEl0 => 0,
             ExceptionLevel::El1 | ExceptionLevel::SEl1 => 1,
@@ -73,6 +75,7 @@ impl ExceptionLevel {
     }
 }
 
+#[cfg(test)]
 impl fmt::Display for ExceptionLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -41,7 +41,7 @@ impl KernelConfig {
 
     /// CFS timeslice for a queue of `nr_running` tasks: latency divided by
     /// the number of runnable tasks, floored at the minimum granularity.
-    pub fn cfs_timeslice(&self, nr_running: usize) -> SimDuration {
+    pub(crate) fn cfs_timeslice(&self, nr_running: usize) -> SimDuration {
         if nr_running == 0 {
             return self.sched_latency;
         }
@@ -58,7 +58,7 @@ impl KernelConfig {
     /// # Panics
     ///
     /// Panics if `hz` is outside `[100, 1000]`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             (100..=1000).contains(&self.hz),
             "HZ {} outside the paper's 100..=1000 range",

@@ -7,9 +7,9 @@
 //! KProber-I injected into the timer-interrupt path found through the
 //! exception vector table. This crate reproduces those semantics:
 //!
-//! - [`task`]: tasks with CPU affinity, scheduling class, and state;
+//! - `task`: tasks with CPU affinity, scheduling class, and state;
 //! - [`weight`]: Linux's nice-to-weight table for CFS vruntime accounting;
-//! - [`runqueue`] / [`scheduler`]: per-core runqueues with an RT FIFO class
+//! - [`runqueue`] / `scheduler`: per-core runqueues with an RT FIFO class
 //!   that always beats the CFS class, affinity-respecting wake placement,
 //!   and vruntime-ordered CFS picks;
 //! - [`tick`]: periodic scheduler ticks at `HZ` with `CONFIG_NO_HZ_IDLE`
@@ -18,11 +18,11 @@
 //! - [`syscall`]: the syscall table the sample rootkit hijacks (GETTID);
 //! - [`vector`]: the AArch64 exception vector table KProber-I redirects.
 
-pub mod config;
+pub(crate) mod config;
 pub mod runqueue;
-pub mod scheduler;
+pub(crate) mod scheduler;
 pub mod syscall;
-pub mod task;
+pub(crate) mod task;
 pub mod tick;
 pub mod vector;
 pub mod weight;

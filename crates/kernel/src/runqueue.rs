@@ -84,7 +84,7 @@ impl CoreRunQueue {
     }
 
     /// The task `pick_next` would return, without removing it.
-    pub fn peek_next(&self) -> Option<TaskId> {
+    pub(crate) fn peek_next(&self) -> Option<TaskId> {
         self.rt
             .last()
             .map(|&(_, t)| t)
@@ -92,7 +92,8 @@ impl CoreRunQueue {
     }
 
     /// The priority of the best queued RT task, if any.
-    pub fn best_rt_priority(&self) -> Option<u8> {
+    #[cfg(test)]
+    pub(crate) fn best_rt_priority(&self) -> Option<u8> {
         self.rt.last().map(|&((inv, _), _)| 99 - inv)
     }
 
@@ -103,7 +104,8 @@ impl CoreRunQueue {
 
     /// Removes a specific task from whichever queue holds it.
     /// Returns `true` if it was queued.
-    pub fn remove(&mut self, task: TaskId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, task: TaskId) -> bool {
         if let Some(i) = self.rt.iter().position(|&(_, t)| t == task) {
             self.rt.remove(i);
             return true;
@@ -116,33 +118,18 @@ impl CoreRunQueue {
     }
 
     /// Number of queued (runnable, not running) tasks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rt.len() + self.cfs.len()
-    }
-
-    /// `true` if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.rt.is_empty() && self.cfs.is_empty()
-    }
-
-    /// Number of queued RT tasks.
-    pub fn rt_len(&self) -> usize {
-        self.rt.len()
-    }
-
-    /// Number of queued CFS tasks.
-    pub fn cfs_len(&self) -> usize {
-        self.cfs.len()
     }
 
     /// The queue's monotone minimum vruntime — new arrivals are floored here
     /// so long sleepers cannot starve everyone on wake.
-    pub fn min_vruntime(&self) -> u64 {
+    pub(crate) fn min_vruntime(&self) -> u64 {
         self.min_vruntime
     }
 
     /// Raises the queue's minimum vruntime (called as tasks execute).
-    pub fn advance_min_vruntime(&mut self, v: u64) {
+    pub(crate) fn advance_min_vruntime(&mut self, v: u64) {
         self.min_vruntime = self.min_vruntime.max(v);
     }
 }
@@ -206,7 +193,7 @@ mod tests {
         assert!(rq.remove(TaskId::new(2)));
         assert!(rq.remove(TaskId::new(1)));
         assert!(!rq.remove(TaskId::new(3)));
-        assert!(rq.is_empty());
+        assert_eq!(rq.len(), 0);
     }
 
     #[test]
@@ -322,8 +309,8 @@ mod tests {
                 }
                 prop_assert_eq!(rq.peek_next(), model.peek_next());
                 prop_assert_eq!(rq.best_rt_priority(), model.best_rt_priority());
-                prop_assert_eq!(rq.rt_len(), model.rt.len());
-                prop_assert_eq!(rq.cfs_len(), model.cfs.len());
+                prop_assert_eq!(rq.rt.len(), model.rt.len());
+                prop_assert_eq!(rq.cfs.len(), model.cfs.len());
                 prop_assert_eq!(rq.len(), model.rt.len() + model.cfs.len());
                 prop_assert_eq!(rq.min_vruntime(), model.min_vruntime);
                 prop_assert_eq!(rq.contains(task), model.queued(task));
@@ -366,7 +353,7 @@ mod tests {
                 rq.enqueue_rt(*p, TaskId::new(i as u64));
             }
             let mut last = 100u8;
-            while rq.rt_len() > 0 {
+            while !rq.rt.is_empty() {
                 let best = rq.best_rt_priority().unwrap();
                 prop_assert!(best <= last);
                 last = best;

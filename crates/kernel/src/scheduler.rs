@@ -64,20 +64,16 @@ impl Scheduler {
         &self.config
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Creates a task (initially [`TaskState::Blocked`]; wake it to run).
+    /// The name labels the call site only: tasks are known by their id.
     pub fn spawn(
         &mut self,
-        name: impl Into<String>,
+        _name: impl Into<String>,
         class: SchedClass,
         affinity: Affinity,
     ) -> TaskId {
         let id = TaskId::new(self.tasks.len() as u64);
-        self.tasks.push(Task::new(id, name, class, affinity));
+        self.tasks.push(Task::new(class, affinity));
         id
     }
 
@@ -110,7 +106,7 @@ impl Scheduler {
     }
 
     /// Total load on `core`: queued + running.
-    pub fn load(&self, core: CoreId) -> usize {
+    pub(crate) fn load(&self, core: CoreId) -> usize {
         self.queue_len(core) + usize::from(self.current(core).is_some())
     }
 
@@ -146,9 +142,7 @@ impl Scheduler {
             }
         }
         self.enqueue(core, tid);
-        let t = self.task_mut(tid);
-        t.set_state(TaskState::Runnable);
-        t.count_wakeup();
+        self.task_mut(tid).set_state(TaskState::Runnable);
         Some(core)
     }
 
@@ -239,28 +233,13 @@ impl Scheduler {
 
     /// Forcibly removes a queued task (e.g. on exit while runnable).
     /// Returns `true` if it was queued somewhere.
-    pub fn dequeue(&mut self, tid: TaskId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn dequeue(&mut self, tid: TaskId) -> bool {
         let found = self.queues.iter_mut().any(|q| q.remove(tid));
         if found {
             self.task_mut(tid).set_state(TaskState::Blocked);
         }
         found
-    }
-
-    /// Marks a non-running task's state (e.g. Sleeping→Blocked transitions
-    /// managed by the system layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task is currently running (use
-    /// [`Scheduler::stop_running`]) or the new state is `Running`.
-    pub fn set_state(&mut self, tid: TaskId, state: TaskState) {
-        assert!(state != TaskState::Running, "use start_running");
-        assert!(
-            self.task(tid).state() != TaskState::Running,
-            "task is running; use stop_running"
-        );
-        self.task_mut(tid).set_state(state);
     }
 
     fn enqueue(&mut self, core: CoreId, tid: TaskId) {

@@ -8,47 +8,22 @@
 //! system call is hijacked if the introspection scans and detects any of
 //! these 8 bytes is modified."
 
-use satin_mem::layout::{GETTID_NR, SYSCALL_ENTRY_SIZE};
-use satin_mem::{KernelLayout, MemError, MemRange, PhysAddr, PhysMemory};
-
-/// Well-known AArch64 syscall numbers used by the experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Syscall {
-    /// `gettid` (178) — the paper's sample hijack target.
-    Gettid,
-    /// `getpid` (172) — used as a control in tests.
-    Getpid,
-    /// `read` (63).
-    Read,
-    /// `write` (64).
-    Write,
-}
-
-impl Syscall {
-    /// The AArch64 syscall number.
-    pub fn nr(self) -> u64 {
-        match self {
-            Syscall::Gettid => GETTID_NR,
-            Syscall::Getpid => 172,
-            Syscall::Read => 63,
-            Syscall::Write => 64,
-        }
-    }
-}
+use satin_mem::layout::SYSCALL_ENTRY_SIZE;
+use satin_mem::{KernelLayout, PhysAddr};
 
 /// A view of the in-memory syscall table.
 ///
 /// # Example
 ///
 /// ```
-/// use satin_kernel::syscall::{Syscall, SyscallTable};
+/// use satin_kernel::syscall::SyscallTable;
+/// use satin_mem::layout::GETTID_NR;
 /// use satin_mem::{KernelLayout, PhysMemory};
 ///
 /// let layout = KernelLayout::paper();
 /// let mem = PhysMemory::with_image(&layout, 42);
 /// let table = SyscallTable::new(&layout);
-/// let handler = table.handler(&mem, Syscall::Gettid).unwrap();
+/// let handler = mem.read_u64(table.entry_addr(GETTID_NR)).unwrap();
 /// assert!(handler != 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,19 +46,9 @@ impl SyscallTable {
         }
     }
 
-    /// Base address of the table.
-    pub fn base(&self) -> PhysAddr {
-        self.base
-    }
-
     /// Number of entries.
     pub fn entries(&self) -> u64 {
         self.entries
-    }
-
-    /// The byte range of the whole table.
-    pub fn range(&self) -> MemRange {
-        MemRange::new(self.base, self.entries * SYSCALL_ENTRY_SIZE)
     }
 
     /// Address of entry `nr`.
@@ -95,32 +60,51 @@ impl SyscallTable {
         assert!(nr < self.entries, "syscall {nr} beyond table");
         self.base + nr * SYSCALL_ENTRY_SIZE
     }
-
-    /// Reads the handler pointer for `syscall` from memory — this is what
-    /// the kernel "executes" on a syscall, so a hijacked entry means a
-    /// hijacked syscall.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] if the table lies outside memory.
-    pub fn handler(&self, mem: &PhysMemory, syscall: Syscall) -> Result<u64, MemError> {
-        mem.read_u64(self.entry_addr(syscall.nr()))
-    }
-
-    /// Reads the raw 8 entry bytes for `nr`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] if the entry lies outside memory.
-    pub fn entry_bytes(&self, mem: &PhysMemory, nr: u64) -> Result<[u8; 8], MemError> {
-        let bytes = mem.read(MemRange::new(self.entry_addr(nr), SYSCALL_ENTRY_SIZE))?;
-        Ok(bytes.try_into().expect("8 bytes"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use satin_mem::layout::GETTID_NR;
+    use satin_mem::{MemError, MemRange, PhysMemory};
+
+    /// Well-known AArch64 syscall numbers the tests resolve.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Syscall {
+        /// `gettid` (178) — the paper's sample hijack target.
+        Gettid,
+        /// `getpid` (172) — used as a control in tests.
+        Getpid,
+        /// `read` (63).
+        Read,
+        /// `write` (64).
+        Write,
+    }
+
+    impl Syscall {
+        /// The AArch64 syscall number.
+        fn nr(self) -> u64 {
+            match self {
+                Syscall::Gettid => GETTID_NR,
+                Syscall::Getpid => 172,
+                Syscall::Read => 63,
+                Syscall::Write => 64,
+            }
+        }
+    }
+
+    impl SyscallTable {
+        /// Reads the handler pointer for `syscall` from memory — this is what
+        /// the kernel "executes" on a syscall, so a hijacked entry means a
+        /// hijacked syscall.
+        ///
+        /// # Errors
+        ///
+        /// Propagates `MemError` if the table lies outside memory.
+        fn handler(&self, mem: &PhysMemory, syscall: Syscall) -> Result<u64, MemError> {
+            mem.read_u64(self.entry_addr(syscall.nr()))
+        }
+    }
 
     fn setup() -> (KernelLayout, PhysMemory, SyscallTable) {
         let layout = KernelLayout::paper();
@@ -133,7 +117,7 @@ mod tests {
     fn table_geometry() {
         let (layout, _, table) = setup();
         assert_eq!(table.entries(), 450);
-        assert_eq!(table.range().len(), 3_600);
+        assert_eq!(table.entries() * SYSCALL_ENTRY_SIZE, 3_600);
         assert_eq!(
             table.entry_addr(Syscall::Gettid.nr()),
             layout.syscall_entry_addr(GETTID_NR)
@@ -144,7 +128,8 @@ mod tests {
     fn handler_matches_entry_bytes() {
         let (_, mem, table) = setup();
         let h = table.handler(&mem, Syscall::Gettid).unwrap();
-        let b = table.entry_bytes(&mem, Syscall::Gettid.nr()).unwrap();
+        let entry = MemRange::new(table.entry_addr(Syscall::Gettid.nr()), SYSCALL_ENTRY_SIZE);
+        let b: [u8; 8] = mem.read(entry).unwrap().try_into().unwrap();
         assert_eq!(h, u64::from_le_bytes(b));
     }
 

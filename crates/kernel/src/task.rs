@@ -55,17 +55,12 @@ impl SchedClass {
         SchedClass::RtFifo { priority: 99 }
     }
 
-    /// `true` for the real-time class.
-    pub fn is_rt(self) -> bool {
-        matches!(self, SchedClass::RtFifo { .. })
-    }
-
     /// Validates class parameters.
     ///
     /// # Panics
     ///
     /// Panics if nice is outside `[-20, 19]` or RT priority outside `[1, 99]`.
-    pub fn validate(self) {
+    pub(crate) fn validate(self) {
         match self {
             SchedClass::Cfs { nice } => {
                 assert!((-20..=19).contains(&nice), "nice {nice} out of range")
@@ -117,16 +112,11 @@ impl Affinity {
         }
     }
 
-    /// `true` if `core` is allowed.
-    pub fn allows(self, core: CoreId) -> bool {
-        core.index() < 64 && self.mask & (1 << core.index()) != 0
-    }
-
     /// Iterates allowed core indices (ascending).
     ///
     /// Walks only the set bits (lowest first, then clear it), so a pinned
     /// task's wake costs one step rather than a 64-bit scan.
-    pub fn cores(self) -> impl Iterator<Item = CoreId> {
+    pub(crate) fn cores(self) -> impl Iterator<Item = CoreId> {
         let mut rest = self.mask;
         std::iter::from_fn(move || {
             if rest == 0 {
@@ -136,11 +126,6 @@ impl Affinity {
             rest &= rest - 1;
             Some(CoreId::new(i))
         })
-    }
-
-    /// Number of allowed cores.
-    pub fn count(self) -> usize {
-        self.mask.count_ones() as usize
     }
 }
 
@@ -163,8 +148,6 @@ pub enum TaskState {
 /// `ThreadBody` plugged in at the `satin-system` layer.
 #[derive(Debug, Clone)]
 pub struct Task {
-    id: TaskId,
-    name: String,
     class: SchedClass,
     affinity: Affinity,
     state: TaskState,
@@ -174,8 +157,6 @@ pub struct Task {
     last_core: Option<CoreId>,
     /// Total CPU time consumed.
     cpu_time: SimDuration,
-    /// Number of times the task has been woken.
-    wakeups: u64,
 }
 
 impl Task {
@@ -185,29 +166,16 @@ impl Task {
     /// # Panics
     ///
     /// Panics if the scheduling class parameters are invalid.
-    pub fn new(id: TaskId, name: impl Into<String>, class: SchedClass, affinity: Affinity) -> Self {
+    pub(crate) fn new(class: SchedClass, affinity: Affinity) -> Self {
         class.validate();
         Task {
-            id,
-            name: name.into(),
             class,
             affinity,
             state: TaskState::Blocked,
             vruntime: 0,
             last_core: None,
             cpu_time: SimDuration::ZERO,
-            wakeups: 0,
         }
-    }
-
-    /// Task id.
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
-
-    /// Task name (for traces).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Scheduling class.
@@ -216,33 +184,28 @@ impl Task {
     }
 
     /// Affinity mask.
-    pub fn affinity(&self) -> Affinity {
+    pub(crate) fn affinity(&self) -> Affinity {
         self.affinity
     }
 
     /// Current state.
-    pub fn state(&self) -> TaskState {
+    pub(crate) fn state(&self) -> TaskState {
         self.state
     }
 
     /// CFS virtual runtime.
-    pub fn vruntime(&self) -> u64 {
+    pub(crate) fn vruntime(&self) -> u64 {
         self.vruntime
     }
 
     /// Core the task last ran on.
-    pub fn last_core(&self) -> Option<CoreId> {
+    pub(crate) fn last_core(&self) -> Option<CoreId> {
         self.last_core
     }
 
     /// Total CPU time consumed.
     pub fn cpu_time(&self) -> SimDuration {
         self.cpu_time
-    }
-
-    /// Number of wakeups.
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups
     }
 
     pub(crate) fn set_state(&mut self, state: TaskState) {
@@ -264,10 +227,6 @@ impl Task {
     pub(crate) fn add_cpu_time(&mut self, d: SimDuration) {
         self.cpu_time += d;
     }
-
-    pub(crate) fn count_wakeup(&mut self) {
-        self.wakeups += 1;
-    }
 }
 
 #[cfg(test)]
@@ -278,21 +237,18 @@ mod tests {
     #[test]
     fn affinity_any_and_pinned() {
         let a = Affinity::any(6);
-        assert_eq!(a.count(), 6);
-        assert!(a.allows(CoreId::new(0)));
-        assert!(a.allows(CoreId::new(5)));
-        assert!(!a.allows(CoreId::new(6)));
+        assert_eq!(
+            a.cores().collect::<Vec<_>>(),
+            (0..6).map(CoreId::new).collect::<Vec<_>>()
+        );
         let p = Affinity::pinned(CoreId::new(3));
-        assert_eq!(p.count(), 1);
-        assert!(p.allows(CoreId::new(3)));
-        assert!(!p.allows(CoreId::new(2)));
         assert_eq!(p.cores().collect::<Vec<_>>(), vec![CoreId::new(3)]);
     }
 
     #[test]
     fn affinity_64_cores() {
         let a = Affinity::any(64);
-        assert_eq!(a.count(), 64);
+        assert_eq!(a.cores().count(), 64);
     }
 
     /// The naive reference for [`Affinity::cores`]: test all 64 bits.
@@ -345,8 +301,8 @@ mod tests {
     fn class_validation() {
         SchedClass::Cfs { nice: -20 }.validate();
         SchedClass::RtFifo { priority: 99 }.validate();
-        assert!(SchedClass::rt_max().is_rt());
-        assert!(!SchedClass::cfs().is_rt());
+        assert_eq!(SchedClass::rt_max(), SchedClass::RtFifo { priority: 99 });
+        assert_eq!(SchedClass::cfs(), SchedClass::Cfs { nice: 0 });
     }
 
     #[test]
@@ -357,24 +313,16 @@ mod tests {
 
     #[test]
     fn task_bookkeeping() {
-        let mut t = Task::new(
-            TaskId::new(1),
-            "prober",
-            SchedClass::rt_max(),
-            Affinity::pinned(CoreId::new(2)),
-        );
+        let mut t = Task::new(SchedClass::rt_max(), Affinity::pinned(CoreId::new(2)));
         assert_eq!(t.state(), TaskState::Blocked);
-        assert_eq!(t.name(), "prober");
         t.set_state(TaskState::Runnable);
-        t.count_wakeup();
         t.add_cpu_time(SimDuration::from_micros(5));
         t.add_vruntime(100);
         t.set_last_core(CoreId::new(2));
         assert_eq!(t.state(), TaskState::Runnable);
-        assert_eq!(t.wakeups(), 1);
         assert_eq!(t.cpu_time(), SimDuration::from_micros(5));
         assert_eq!(t.vruntime(), 100);
         assert_eq!(t.last_core(), Some(CoreId::new(2)));
-        assert_eq!(t.id().to_string(), "task1");
+        assert_eq!(TaskId::new(1).to_string(), "task1");
     }
 }

@@ -16,10 +16,6 @@ use satin_sim::{SimDuration, SimTime};
 pub struct TickState {
     period: SimDuration,
     nohz_idle: bool,
-    /// Total ticks delivered.
-    delivered: u64,
-    /// Ticks suppressed because the core was idle.
-    suppressed: u64,
 }
 
 impl TickState {
@@ -28,14 +24,7 @@ impl TickState {
         TickState {
             period: config.tick_period(),
             nohz_idle: config.nohz_idle,
-            delivered: 0,
-            suppressed: 0,
         }
-    }
-
-    /// The tick period.
-    pub fn period(&self) -> SimDuration {
-        self.period
     }
 
     /// The next tick boundary strictly after `now` (ticks are aligned to
@@ -48,24 +37,8 @@ impl TickState {
 
     /// Processes a tick boundary: returns `true` if the tick is delivered
     /// (the core is busy, or NO_HZ_IDLE is off), `false` if suppressed.
-    pub fn on_boundary(&mut self, core_idle: bool) -> bool {
-        if core_idle && self.nohz_idle {
-            self.suppressed += 1;
-            false
-        } else {
-            self.delivered += 1;
-            true
-        }
-    }
-
-    /// Ticks delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Ticks suppressed so far.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
+    pub fn on_boundary(&self, core_idle: bool) -> bool {
+        !(core_idle && self.nohz_idle)
     }
 }
 
@@ -93,20 +66,17 @@ mod tests {
 
     #[test]
     fn idle_suppression() {
-        let mut t = state();
+        let t = state();
         assert!(t.on_boundary(false));
         assert!(!t.on_boundary(true));
-        assert_eq!(t.delivered(), 1);
-        assert_eq!(t.suppressed(), 1);
     }
 
     #[test]
     fn periodic_mode_always_ticks() {
         let mut cfg = KernelConfig::lsk_4_4();
         cfg.nohz_idle = false;
-        let mut t = TickState::new(&cfg);
+        let t = TickState::new(&cfg);
         assert!(t.on_boundary(true));
-        assert_eq!(t.suppressed(), 0);
     }
 
     #[test]
@@ -114,6 +84,6 @@ mod tests {
         let mut cfg = KernelConfig::lsk_4_4();
         cfg.hz = 1000;
         let t = TickState::new(&cfg);
-        assert_eq!(t.period(), SimDuration::from_millis(1));
+        assert_eq!(t.period, SimDuration::from_millis(1));
     }
 }

@@ -10,13 +10,16 @@
 //! introspection to find — the extra attack surface the paper notes makes
 //! KProber-I easier to detect than KProber-II (§III-C1).
 
-use satin_mem::{KernelLayout, MemError, MemRange, PhysAddr, PhysMemory};
+use satin_mem::{KernelLayout, MemRange, PhysAddr};
+#[cfg(test)]
+use satin_mem::{MemError, PhysMemory};
 
 /// Size of one vector table entry (0x80 bytes of instructions).
-pub const VECTOR_ENTRY_SIZE: u64 = 0x80;
+pub(crate) const VECTOR_ENTRY_SIZE: u64 = 0x80;
 
 /// Number of entries in the AArch64 table (4 exception types × 4 sources).
-pub const VECTOR_ENTRIES: u64 = 16;
+#[cfg(test)]
+pub(crate) const VECTOR_ENTRIES: u64 = 16;
 
 /// The exception vector slots relevant to the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,7 +36,7 @@ pub enum VectorSlot {
 
 impl VectorSlot {
     /// The entry index in the table.
-    pub fn index(self) -> u64 {
+    pub(crate) fn index(self) -> u64 {
         match self {
             VectorSlot::SyncCurrentElSpx => 4,
             VectorSlot::IrqCurrentElSpx => 6,
@@ -72,11 +75,6 @@ impl VectorTable {
         })
     }
 
-    /// The `VBAR_EL1` value.
-    pub fn vbar(&self) -> PhysAddr {
-        self.vbar
-    }
-
     /// The byte range of one vector entry.
     pub fn entry_range(&self, slot: VectorSlot) -> MemRange {
         MemRange::new(
@@ -86,7 +84,8 @@ impl VectorTable {
     }
 
     /// The whole table's range.
-    pub fn range(&self) -> MemRange {
+    #[cfg(test)]
+    pub(crate) fn range(&self) -> MemRange {
         MemRange::new(self.vbar, VECTOR_ENTRIES * VECTOR_ENTRY_SIZE)
     }
 
@@ -98,7 +97,8 @@ impl VectorTable {
     /// Propagates [`MemError`] (including [`MemError::WriteProtected`] if
     /// the AP bits still protect the page — the attacker must run the
     /// write-what-where exploit first, §VII-A).
-    pub fn hijack(
+    #[cfg(test)]
+    pub(crate) fn hijack(
         &self,
         mem: &mut PhysMemory,
         slot: VectorSlot,
@@ -129,12 +129,9 @@ mod tests {
     fn geometry() {
         let (layout, _, vt) = setup();
         assert_eq!(vt.range().len(), 2048);
-        assert_eq!(
-            vt.vbar(),
-            layout.section("vectors").unwrap().range().start()
-        );
+        assert_eq!(vt.vbar, layout.section("vectors").unwrap().range().start());
         let irq = vt.entry_range(VectorSlot::IrqCurrentElSpx);
-        assert_eq!(irq.start(), vt.vbar() + 6 * 0x80);
+        assert_eq!(irq.start(), vt.vbar + 6 * 0x80);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! vruntime slowly and get picked more often.
 
 /// Weight of a nice-0 task.
-pub const NICE_0_WEIGHT: u64 = 1024;
+pub(crate) const NICE_0_WEIGHT: u64 = 1024;
 
 /// `sched_prio_to_weight` from the Linux kernel, indexed by `nice + 20`.
-pub const SCHED_PRIO_TO_WEIGHT: [u64; 40] = [
+pub(crate) const SCHED_PRIO_TO_WEIGHT: [u64; 40] = [
     88761, 71755, 56483, 46273, 36291, // -20 .. -16
     29154, 23254, 18705, 14949, 11916, // -15 .. -11
     9548, 7620, 6100, 4904, 3906, // -10 .. -6

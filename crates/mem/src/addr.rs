@@ -122,7 +122,7 @@ impl MemRange {
     /// Overflow-safe: a range reaching past the top of the address space
     /// is simply not contained, so bounds checks on adversarial ranges
     /// report an error instead of panicking on `start + len`.
-    pub fn contains_range(&self, other: &MemRange) -> bool {
+    pub(crate) fn contains_range(&self, other: &MemRange) -> bool {
         other.is_empty() || (other.start >= self.start && other.end_wide() <= self.end_wide())
     }
 

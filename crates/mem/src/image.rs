@@ -21,14 +21,13 @@ use crate::layout::{KernelLayout, SectionKind, SYSCALL_ENTRY_SIZE};
 /// # Example
 ///
 /// ```
-/// use satin_mem::{KernelLayout, image};
+/// use satin_mem::{KernelLayout, PhysMemory};
 /// let layout = KernelLayout::paper();
-/// let a = image::generate(&layout, 42);
-/// let b = image::generate(&layout, 42);
-/// assert_eq!(a, b); // fully deterministic
-/// assert_ne!(a, image::generate(&layout, 43));
+/// let image = |seed| PhysMemory::with_image(&layout, seed).read(layout.range()).unwrap().to_vec();
+/// assert_eq!(image(42), image(42)); // fully deterministic
+/// assert_ne!(image(42), image(43));
 /// ```
-pub fn fill(layout: &KernelLayout, seed: u64, buf: &mut [u8]) {
+pub(crate) fn fill(layout: &KernelLayout, seed: u64, buf: &mut [u8]) {
     assert_eq!(
         buf.len() as u64,
         layout.total_size(),
@@ -55,7 +54,8 @@ pub fn fill(layout: &KernelLayout, seed: u64, buf: &mut [u8]) {
 }
 
 /// Allocates and fills a fresh image buffer.
-pub fn generate(layout: &KernelLayout, seed: u64) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn generate(layout: &KernelLayout, seed: u64) -> Vec<u8> {
     // The paper layout is a few MiB; a u64 size that overflows usize could
     // not be allocated anyway.
     #[allow(clippy::cast_possible_truncation)]

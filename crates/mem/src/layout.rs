@@ -52,7 +52,7 @@ pub struct KernelSection {
 
 impl KernelSection {
     /// Section name as it would appear in `System.map`.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -93,7 +93,7 @@ pub struct KernelLayout {
 
 impl KernelLayout {
     /// Default load address of the synthetic kernel image.
-    pub const DEFAULT_BASE: PhysAddr = PhysAddr::new(0x8008_0000);
+    pub(crate) const DEFAULT_BASE: PhysAddr = PhysAddr::new(0x8008_0000);
 
     /// Builds a layout from per-segment section lists:
     /// `segments[i]` is the ordered list of `(name, kind, size)` for segment
@@ -235,7 +235,8 @@ impl KernelLayout {
     }
 
     /// The segment containing `addr`, if any.
-    pub fn segment_of(&self, addr: PhysAddr) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn segment_of(&self, addr: PhysAddr) -> Option<usize> {
         self.sections
             .iter()
             .find(|s| s.range.contains(addr))

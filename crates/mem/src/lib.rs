@@ -15,13 +15,13 @@
 //! reached. This makes the paper's Equation 1 an emergent property of the
 //! simulation rather than an assumed formula.
 
-pub mod addr;
-pub mod error;
+pub(crate) mod addr;
+pub(crate) mod error;
 pub mod image;
 pub mod layout;
 pub mod perms;
 pub mod phys;
-pub mod scan;
+pub(crate) mod scan;
 
 pub use addr::{MemRange, PhysAddr};
 pub use error::MemError;

@@ -36,9 +36,6 @@ pub const PAGE_SIZE: u64 = 4096;
 pub struct PagePermissions {
     covered: MemRange,
     writable: Vec<bool>,
-    /// Count of AP-bit flips performed via the exploit primitive (a forensic
-    /// trace the defender could look for — and a statistic for experiments).
-    exploit_flips: u64,
 }
 
 impl PagePermissions {
@@ -56,13 +53,7 @@ impl PagePermissions {
         PagePermissions {
             covered,
             writable: vec![true; pages],
-            exploit_flips: 0,
         }
-    }
-
-    /// The covered range.
-    pub fn covered(&self) -> MemRange {
-        self.covered
     }
 
     /// Marks every page overlapping `range` read-only (what TZ-RKP/SPROBES
@@ -80,7 +71,8 @@ impl PagePermissions {
     /// # Panics
     ///
     /// Panics if `range` is not inside the covered range.
-    pub fn unprotect(&mut self, range: MemRange) {
+    #[cfg(test)]
+    pub(crate) fn unprotect(&mut self, range: MemRange) {
         self.set(range, true);
     }
 
@@ -101,7 +93,7 @@ impl PagePermissions {
     /// # Panics
     ///
     /// Panics if `range` is not inside the covered range.
-    pub fn is_range_writable(&self, range: MemRange) -> bool {
+    pub(crate) fn is_range_writable(&self, range: MemRange) -> bool {
         if range.is_empty() {
             return true;
         }
@@ -132,13 +124,7 @@ impl PagePermissions {
             .expect("page index derived from a covered address");
         let was_protected = !*slot;
         *slot = true;
-        self.exploit_flips += 1;
         was_protected
-    }
-
-    /// Number of exploit flips performed.
-    pub fn exploit_flips(&self) -> u64 {
-        self.exploit_flips
     }
 
     fn page_of(&self, addr: PhysAddr) -> usize {
@@ -209,10 +195,8 @@ mod tests {
         assert!(!p.is_writable(target));
         assert!(p.exploit_write_what_where(target));
         assert!(p.is_writable(target));
-        assert_eq!(p.exploit_flips(), 1);
-        // Flipping an already-writable page still counts but reports false.
+        // Flipping an already-writable page reports false.
         assert!(!p.exploit_write_what_where(target));
-        assert_eq!(p.exploit_flips(), 2);
     }
 
     #[test]

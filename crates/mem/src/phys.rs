@@ -48,7 +48,7 @@ impl PhysMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `range` is empty; [`PhysMemory::try_zeroed`] is the
+    /// Panics if `range` is empty; `PhysMemory::try_zeroed` is the
     /// fallible form.
     pub fn zeroed(range: MemRange) -> Self {
         Self::try_zeroed(range).expect("non-empty memory range")
@@ -59,7 +59,7 @@ impl PhysMemory {
     /// # Errors
     ///
     /// [`MemError::EmptyRange`] if `range` is empty.
-    pub fn try_zeroed(range: MemRange) -> Result<Self, MemError> {
+    pub(crate) fn try_zeroed(range: MemRange) -> Result<Self, MemError> {
         if range.is_empty() {
             return Err(MemError::EmptyRange);
         }
@@ -83,13 +83,8 @@ impl PhysMemory {
     }
 
     /// The covered range.
-    pub fn range(&self) -> MemRange {
+    pub(crate) fn range(&self) -> MemRange {
         MemRange::new(self.base, self.bytes.len() as u64)
-    }
-
-    /// Page permissions (AP bits).
-    pub fn perms(&self) -> &PagePermissions {
-        &self.perms
     }
 
     /// Mutable page permissions — used by the synchronous-introspection setup
@@ -210,11 +205,8 @@ impl PhysMemory {
 
 /// A borrowed, bounds-checked-once window over [`PhysMemory`].
 ///
-/// This is the secure path's unit of work: where the old flow re-checked
-/// bounds (and, for digests, allocated a boxed hasher) per operation, a view
-/// is validated once when the window opens and then hands out the backing
-/// slice directly. `bytes()` returns the full-lifetime `&'a [u8]`, so a view
-/// can be consumed while the borrow outlives it.
+/// This is the secure path's unit of work: a view is bounds-checked once
+/// when the window opens, then digests or copies the backing slice directly.
 #[derive(Debug, Clone, Copy)]
 pub struct MemView<'a> {
     range: MemRange,
@@ -222,16 +214,6 @@ pub struct MemView<'a> {
 }
 
 impl<'a> MemView<'a> {
-    /// The physical range this view covers.
-    pub fn range(&self) -> MemRange {
-        self.range
-    }
-
-    /// The backing bytes, borrowed for the memory's full lifetime.
-    pub fn bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> u64 {
         self.range.len()
@@ -352,10 +334,10 @@ mod tests {
         let mem = PhysMemory::with_image(&layout, 9);
         let text = layout.section(".text").unwrap().range();
         let view = mem.view(text).unwrap();
-        assert_eq!(view.range(), text);
+        assert_eq!(view.range, text);
         assert_eq!(view.len(), text.len());
         assert!(!view.is_empty());
-        assert_eq!(view.bytes(), mem.read(text).unwrap());
+        assert_eq!(view.bytes, mem.read(text).unwrap());
         for alg in HashAlgorithm::ALL {
             assert_eq!(view.digest(alg), hash_bytes(alg, mem.read(text).unwrap()));
         }

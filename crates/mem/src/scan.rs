@@ -71,22 +71,12 @@ impl ScanWindow {
         }
     }
 
-    /// The scanned range.
-    pub fn range(&self) -> MemRange {
-        self.range
-    }
-
-    /// When the scan started.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
     /// The instant byte `offset` (relative to the range start) is read.
     ///
     /// # Panics
     ///
     /// Panics if `offset` is beyond the range.
-    pub fn read_instant(&self, offset: u64) -> SimTime {
+    pub(crate) fn read_instant(&self, offset: u64) -> SimTime {
         assert!(offset < self.range.len(), "offset beyond scan range");
         self.start + SimDuration::from_secs_f64(self.secs_per_byte * offset as f64)
     }
@@ -144,14 +134,6 @@ impl ScanWindow {
         }
     }
 
-    /// Number of writes that landed inside the scanned range while the
-    /// window was open — regardless of whether the racing write beat the
-    /// per-byte read instant. Nonzero means the scan is *torn*: it raced a
-    /// concurrent mutator and its observation is not an atomic snapshot.
-    pub fn overlapping_writes(&self) -> u64 {
-        self.overlapping_writes
-    }
-
     /// `true` if at least one concurrent write intersected the window.
     pub fn is_torn(&self) -> bool {
         self.overlapping_writes > 0
@@ -199,11 +181,11 @@ mod tests {
         let mut w = window(10, 100);
         // A write wholly outside the range does not tear the window.
         w.note_write(SimTime::from_micros(1), PhysAddr::new(0), &[1; 4]);
-        assert_eq!(w.overlapping_writes(), 0);
+        assert_eq!(w.overlapping_writes, 0);
         // One intersecting the range does, even if every racing byte was
         // already read (last read instant is 1900ns here).
         w.note_write(SimTime::from_nanos(1950), PhysAddr::new(1000), &[2; 4]);
-        assert_eq!(w.overlapping_writes(), 1);
+        assert_eq!(w.overlapping_writes, 1);
         assert!(w.is_torn());
     }
 
@@ -264,7 +246,7 @@ mod tests {
         // Rootkit hijacked offset 50 before the scan started (snapshot shows it).
         let mut snapshot_with_hijack = vec![0x41; 100];
         snapshot_with_hijack[50] = 0x66;
-        let mut w2 = ScanWindow::begin(w.range(), w.start(), 10e-9, snapshot_with_hijack);
+        let mut w2 = ScanWindow::begin(w.range, w.start, 10e-9, snapshot_with_hijack);
         // Restore lands at 400ns — before byte 50's read instant (500ns):
         w2.note_write(SimTime::from_nanos(400), PhysAddr::new(50), &[0x41]);
         assert_eq!(
@@ -275,7 +257,7 @@ mod tests {
         // Restore lands at 600ns — after byte 50 was read: hijack observed.
         let mut snapshot_with_hijack = vec![0x41; 100];
         snapshot_with_hijack[50] = 0x66;
-        let mut w3 = ScanWindow::begin(w.range(), w.start(), 10e-9, snapshot_with_hijack);
+        let mut w3 = ScanWindow::begin(w.range, w.start, 10e-9, snapshot_with_hijack);
         w3.note_write(SimTime::from_nanos(600), PhysAddr::new(50), &[0x41]);
         assert_eq!(
             w3.observed()[50],

@@ -177,7 +177,8 @@ impl ObsEvent {
     }
 
     /// The cell index this event concerns, if it is cell-scoped.
-    pub fn cell(&self) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn cell(&self) -> Option<usize> {
         match self {
             ObsEvent::WorkerAssigned { cell, .. }
             | ObsEvent::CellStarted { cell, .. }

@@ -97,13 +97,8 @@ impl PhaseTimer {
         }
     }
 
-    /// Completed `(phase name, host ns)` pairs, in execution order.
-    pub fn phases(&self) -> &[(&'static str, u64)] {
-        &self.done
-    }
-
     /// Total host nanoseconds across completed phases.
-    pub fn total_ns(&self) -> u64 {
+    pub(crate) fn total_ns(&self) -> u64 {
         self.done.iter().map(|(_, ns)| ns).sum()
     }
 
@@ -128,7 +123,7 @@ impl PhaseTimer {
 
 /// One worker thread's share of a campaign, in host terms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerUse {
+pub(crate) struct WorkerUse {
     /// Cells this worker completed.
     pub cells: usize,
     /// Host nanoseconds the worker spent inside cells.
@@ -153,7 +148,7 @@ pub struct HostReport {
     /// Retry events observed.
     pub retries: usize,
     /// Per-worker usage, indexed by worker id.
-    pub workers: Vec<WorkerUse>,
+    pub(crate) workers: Vec<WorkerUse>,
     /// Host-time latency distribution across cells.
     pub cell_latency: DurationHistogram,
     /// Live events dropped by the bounded channel (progress-only loss).
@@ -163,7 +158,7 @@ pub struct HostReport {
 impl HostReport {
     /// Worker `w`'s busy fraction of the campaign wall time (0.0 when the
     /// wall span is empty).
-    pub fn utilization(&self, w: usize) -> f64 {
+    pub(crate) fn utilization(&self, w: usize) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;
         }
@@ -219,9 +214,9 @@ mod tests {
         t.phase("simulate");
         t.stop();
         t.stop(); // idempotent
-        let names: Vec<_> = t.phases().iter().map(|(n, _)| *n).collect();
+        let names: Vec<_> = t.done.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, vec!["assemble", "simulate"]);
-        assert_eq!(t.total_ns(), t.phases().iter().map(|(_, ns)| ns).sum());
+        assert_eq!(t.total_ns(), t.done.iter().map(|(_, ns)| ns).sum());
         let line = t.render();
         assert!(line.starts_with("host-phases: assemble "));
         assert!(line.contains("· simulate "));

@@ -12,7 +12,7 @@
 //!
 //! - **Linear time.** A string is consumed one run at a time: each run of
 //!   bytes up to the next `"` or `\` is copied as one validated slice.
-//! - **Depth-capped.** Nesting deeper than [`MAX_DEPTH`] is a [`JsonError`],
+//! - **Depth-capped.** Nesting deeper than `MAX_DEPTH` is a [`JsonError`],
 //!   never a stack overflow.
 //!
 //! Objects preserve key order as `Vec<(String, Json)>` — deliberately not a
@@ -24,7 +24,7 @@ use std::fmt;
 /// Deepest array/object nesting [`Json::parse`] accepts. The workspace's
 /// own documents nest at most 3 deep; the cap keeps a hostile line from
 /// recursing the parser off the end of its stack.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -26,13 +26,13 @@
 //! The crate also carries a dependency-free [`json`] reader: the campaign
 //! daemon's wire format and the result store's replay reader.
 
-pub mod event;
+pub(crate) mod event;
 pub mod host;
 pub mod json;
-pub mod progress;
-pub mod stream;
+pub(crate) mod progress;
+pub(crate) mod stream;
 
 pub use event::{ObsEvent, EVENT_SCHEMA_VERSION};
 pub use host::{HostClock, HostReport, PhaseTimer};
 pub use progress::ProgressRenderer;
-pub use stream::{CampaignObs, CellEvents, EventStream, LiveEvent, LiveSink};
+pub use stream::{CampaignObs, CellEvents, EventStream, LiveEvent};

@@ -44,14 +44,14 @@ pub struct LiveEvent {
 /// The sending half of the bounded live channel. Cloned into every worker;
 /// a full channel drops the event (counted) rather than blocking.
 #[derive(Debug, Clone)]
-pub struct LiveSink {
+pub(crate) struct LiveSink {
     tx: mpsc::SyncSender<LiveEvent>,
     dropped: Arc<AtomicU64>,
 }
 
 impl LiveSink {
     /// A bounded live channel with room for `capacity` in-flight events.
-    pub fn bounded(capacity: usize) -> (LiveSink, mpsc::Receiver<LiveEvent>) {
+    pub(crate) fn bounded(capacity: usize) -> (LiveSink, mpsc::Receiver<LiveEvent>) {
         let (tx, rx) = mpsc::sync_channel(capacity.max(1));
         (
             LiveSink {
@@ -63,7 +63,7 @@ impl LiveSink {
     }
 
     /// Non-blocking send; a full or disconnected channel counts a drop.
-    pub fn send(&self, ev: LiveEvent) {
+    pub(crate) fn send(&self, ev: LiveEvent) {
         if self.tx.try_send(ev).is_err() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -71,7 +71,7 @@ impl LiveSink {
 
     /// Events dropped so far (progress-only loss; the canonical stream is
     /// unaffected).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }
@@ -138,7 +138,6 @@ impl CampaignObs {
     pub fn begin_cell(&self, worker: usize, cell: usize, seed: u64) -> CellEvents {
         let mut log = CellEvents {
             cell,
-            seed,
             worker,
             events: Vec::new(),
             live: self.live.clone(),
@@ -156,7 +155,6 @@ impl CampaignObs {
 #[derive(Debug)]
 pub struct CellEvents {
     cell: usize,
-    seed: u64,
     worker: usize,
     events: Vec<ObsEvent>,
     live: Option<LiveSink>,
@@ -167,11 +165,6 @@ impl CellEvents {
     /// The cell index this log belongs to.
     pub fn cell(&self) -> usize {
         self.cell
-    }
-
-    /// The seed driving this cell.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Appends `event` to the canonical log and mirrors it onto the live
@@ -426,7 +419,6 @@ mod tests {
             attempts: 1,
         });
         assert_eq!(log.cell(), 0);
-        assert_eq!(log.seed(), 1);
         assert_eq!(log.into_events().len(), 2);
     }
 }

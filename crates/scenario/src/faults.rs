@@ -38,7 +38,7 @@ impl SeedFilter {
     }
 
     /// Stable descriptor form (`*` or the seed number).
-    pub fn to_text(self) -> String {
+    pub(crate) fn to_text(self) -> String {
         match self {
             SeedFilter::All => "*".to_string(),
             SeedFilter::Only(s) => s.to_string(),
@@ -218,7 +218,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// A human-readable description of the violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.max_attempts == 0 {
             return Err("faults max-attempts must be at least 1".to_string());
         }
@@ -246,7 +246,7 @@ impl FaultPlan {
     }
 
     /// Stable 64-bit content hash of the plan: FNV-1a over the canonical
-    /// [`to_text`](FaultPlan::to_text) form. Plans that render identically
+    /// `to_text` form. Plans that render identically
     /// hash identically (the empty plan hashes the empty string), making
     /// this safe as the fault component of `satin-serve`'s
     /// content-addressed store key.
@@ -256,7 +256,7 @@ impl FaultPlan {
 
     /// Renders the `[faults]` section body (no header), keys in fixed
     /// order, one per armed fault. Empty plans render nothing.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(self) -> String {
         let mut out = String::new();
         // Infallible: writing to a String cannot fail.
         if let Some(j) = self.jitter {
@@ -336,7 +336,7 @@ fn parse_u64(tok: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// A human-readable message (no line number — callers attach their own).
-pub fn apply_fault_key(plan: &mut FaultPlan, key: &str, value: &str) -> Result<(), String> {
+pub(crate) fn apply_fault_key(plan: &mut FaultPlan, key: &str, value: &str) -> Result<(), String> {
     match key {
         "jitter" => {
             let [seed, at, extra] = split_fields::<3>(value)?;

@@ -8,13 +8,13 @@
 //! types the simulator runs, and the `juno-r1` descriptor is the one place
 //! its numbers are written:
 //!
-//! - [`scenario`]: the [`Scenario`] type — a `PlatformSpec` (from
+//! - `scenario`: the [`Scenario`] type — a `PlatformSpec` (from
 //!   `satin-hw`) plus [`AttackProfile`], [`SatinConfig`] (the defender,
 //!   with its [`CorePolicy`] and [`AreaPolicy`]), and [`CampaignProfile`]
 //!   — and its canonical text form;
-//! - [`parse`]: a hand-rolled parser for the small `[section]` /
+//! - `parse`: a hand-rolled parser for the small `[section]` /
 //!   `key = value` text format, with line-numbered errors;
-//! - [`registry`]: built-in scenarios — `juno-r1` (the paper, and the
+//! - `registry`: built-in scenarios — `juno-r1` (the paper, and the
 //!   source of every default elsewhere in the workspace, including
 //!   [`SatinConfig::paper`]) plus platform variants for grid sweeps.
 //!
@@ -39,10 +39,10 @@
 //! assert_eq!(Scenario::paper().name, "juno-r1");
 //! ```
 
-pub mod faults;
-pub mod parse;
-pub mod registry;
-pub mod scenario;
+pub(crate) mod faults;
+pub(crate) mod parse;
+pub(crate) mod registry;
+pub(crate) mod scenario;
 
 pub use faults::{
     builtin_fault_plan, AbortSpec, CorruptWindowSpec, DelayPublicationSpec, DropPublicationSpec,

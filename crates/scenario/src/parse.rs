@@ -482,6 +482,41 @@ mod tests {
         let e = parse_scenario("[scenario]\nname = x\n[timing.a53]\nhash-1byte-secs = 0 0 0\n")
             .unwrap_err();
         assert!(e.msg.contains("min <= mean <= max"), "{e}");
+        // ...even for a core kind the platform does not have.
+        let e = parse_scenario(
+            "[scenario]\nname = x\n[platform]\ncores = A53 A53 A53 A53\n[timing.a57]\nhash-1byte-secs = 0 0 0\n",
+        )
+        .unwrap_err();
+        assert!(e.msg.contains("A57 hash-1byte"), "{e}");
+        // A Tgoal too short to give each area a wake period, or too long
+        // for a cell's `40 × Tgoal` stop to fit the clock.
+        for section in ["defense", "campaign"] {
+            for tgoal in [1, u64::MAX] {
+                let text = format!("[scenario]\nname = x\n[{section}]\ntgoal-ns = {tgoal}\n");
+                let e = parse_scenario(&text).unwrap_err();
+                assert!(e.msg.contains("tgoal must be between"), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_ts_switch_bounds_rejected() {
+        // `[lo, hi)` is empty when the bounds are equal: this used to pass
+        // validation and panic when the platform was built.
+        let text = registry::juno_r1()
+            .to_text()
+            .lines()
+            .map(|l| {
+                if l.starts_with("ts-switch-secs") {
+                    "ts-switch-secs = 0.000003 0.000003"
+                } else {
+                    l
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        let e = parse_scenario(&text).unwrap_err();
+        assert!(e.msg.contains("ts-switch"), "{e}");
     }
 
     #[test]

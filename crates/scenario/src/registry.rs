@@ -59,7 +59,7 @@ fn quick_campaign() -> CampaignProfile {
 /// SATIN's evaluated configuration. Every paper default in the workspace
 /// (`SatinConfig::paper`, `TzEvaderConfig::paper_default`,
 /// `TimingModel::paper_calibrated`, …) reads its numbers from here.
-pub fn juno_r1() -> Scenario {
+pub(crate) fn juno_r1() -> Scenario {
     Scenario {
         name: "juno-r1".to_string(),
         summary: "the paper's board: 2xA57+4xA53, KProber-II vs paper SATIN".to_string(),

@@ -4,9 +4,17 @@ use crate::faults::FaultPlan;
 use satin_hash::HashAlgorithm;
 use satin_hw::profile::PlatformSpec;
 use satin_hw::timing::ScanStrategy;
-use satin_hw::CoreId;
+use satin_hw::{CoreId, CoreKind};
 use satin_sim::SimDuration;
 use std::fmt::Write as _;
+
+/// The shortest `Tgoal` a scenario may ask for: SATIN's wake period
+/// `Tgoal / areas` must stay a positive number of nanoseconds.
+const MIN_TGOAL: SimDuration = SimDuration::from_millis(1);
+
+/// The longest: a campaign cell stops at `40 × Tgoal`, which must fit
+/// the nanosecond clock (the paper's `Tgoal` is 152 s).
+const MAX_TGOAL: SimDuration = SimDuration::from_secs(1_000_000);
 
 /// Which prober implementation carries TZ-Evader's side channel. Defined
 /// here, below the attack layer, so descriptors can name it;
@@ -23,14 +31,14 @@ pub enum ProberKind {
 
 impl ProberKind {
     /// All kinds, weakest first.
-    pub const ALL: [ProberKind; 3] = [
+    pub(crate) const ALL: [ProberKind; 3] = [
         ProberKind::UserLevel,
         ProberKind::KProberI,
         ProberKind::KProberII,
     ];
 
     /// Stable descriptor name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ProberKind::UserLevel => "user-level",
             ProberKind::KProberI => "kprober-i",
@@ -39,7 +47,7 @@ impl ProberKind {
     }
 
     /// Parses a descriptor name.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         ProberKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
@@ -71,7 +79,7 @@ pub enum CorePolicy {
 
 impl CorePolicy {
     /// Stable descriptor form (`all-random` or `fixed:N`).
-    pub fn to_text(self) -> String {
+    pub(crate) fn to_text(self) -> String {
         match self {
             CorePolicy::AllRandom => "all-random".to_string(),
             CorePolicy::Fixed(core) => format!("fixed:{}", core.index()),
@@ -79,7 +87,7 @@ impl CorePolicy {
     }
 
     /// Parses the descriptor form.
-    pub fn from_text(text: &str) -> Option<Self> {
+    pub(crate) fn from_text(text: &str) -> Option<Self> {
         if text == "all-random" {
             return Some(CorePolicy::AllRandom);
         }
@@ -104,7 +112,7 @@ pub enum AreaPolicy {
 
 impl AreaPolicy {
     /// Stable descriptor form (`segments`, `greedy:N`, or `monolithic`).
-    pub fn to_text(self) -> String {
+    pub(crate) fn to_text(self) -> String {
         match self {
             AreaPolicy::Segments => "segments".to_string(),
             AreaPolicy::Greedy { max_size } => format!("greedy:{max_size}"),
@@ -113,7 +121,7 @@ impl AreaPolicy {
     }
 
     /// Parses the descriptor form.
-    pub fn from_text(text: &str) -> Option<Self> {
+    pub(crate) fn from_text(text: &str) -> Option<Self> {
         match text {
             "segments" => return Some(AreaPolicy::Segments),
             "monolithic" => return Some(AreaPolicy::Monolithic),
@@ -201,7 +209,7 @@ impl Scenario {
     /// # Errors
     ///
     /// A human-readable description of the violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("scenario name must not be empty".to_string());
         }
@@ -216,11 +224,15 @@ impl Scenario {
         if self.platform.cores.is_empty() {
             return Err("platform must declare at least one core".to_string());
         }
+        // The switch cost is drawn uniformly from `[lo, hi)`, which needs
+        // `lo < hi`.
         let (lo, hi) = self.platform.ts_switch_secs;
-        if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi) {
+        if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo < hi) {
             return Err(format!("ts-switch bounds [{lo}, {hi}] invalid"));
         }
-        for kind in self.platform.kinds_present() {
+        // Both calibrations are checked, present or not: the timing model
+        // is built from both (worst-case bounds range over every kind).
+        for kind in [CoreKind::A53, CoreKind::A57] {
             let cal = self.platform.calibration(kind);
             for (what, tri) in [
                 ("hash-1byte", cal.hash_1byte),
@@ -262,8 +274,10 @@ impl Scenario {
                 ));
             }
         }
-        if self.defense.tgoal == SimDuration::ZERO {
-            return Err("defense tgoal must be positive".to_string());
+        if !(MIN_TGOAL..=MAX_TGOAL).contains(&self.defense.tgoal) {
+            return Err(format!(
+                "defense tgoal must be between {MIN_TGOAL} and {MAX_TGOAL}"
+            ));
         }
         if !(self.defense.tns_delay_secs.is_finite() && self.defense.tns_delay_secs > 0.0) {
             return Err("tns-delay-secs must be positive".to_string());
@@ -271,8 +285,10 @@ impl Scenario {
         if self.campaign.rounds == 0 {
             return Err("campaign rounds must be at least 1".to_string());
         }
-        if self.campaign.tgoal == SimDuration::ZERO {
-            return Err("campaign tgoal must be positive".to_string());
+        if !(MIN_TGOAL..=MAX_TGOAL).contains(&self.campaign.tgoal) {
+            return Err(format!(
+                "campaign tgoal must be between {MIN_TGOAL} and {MAX_TGOAL}"
+            ));
         }
         if self.campaign.seeds == 0 {
             return Err("campaign seeds must be at least 1".to_string());

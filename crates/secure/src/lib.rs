@@ -10,12 +10,12 @@
 //!   such cells);
 //! - [`measurement`] — boot-time measurement: hashing the pristine kernel
 //!   areas into an authorized table (§VI-A2);
-//! - [`tsp`] — the secure payload bookkeeping: per-core invocation counts and
+//! - `tsp` — the secure payload bookkeeping: per-core invocation counts and
 //!   handler registration.
 
 pub mod measurement;
 pub mod storage;
-pub mod tsp;
+pub(crate) mod tsp;
 
 pub use storage::{MeasurementSlots, SecureStorage, SlotWrite};
 pub use tsp::TestSecurePayload;

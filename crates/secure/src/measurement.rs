@@ -6,7 +6,6 @@
 //! normal-world code has run, so the digests describe the pristine kernel.
 
 use satin_hash::{AuthorizedHashTable, HashAlgorithm};
-use satin_hw::World;
 use satin_mem::{MemError, MemRange, PhysMemory};
 
 use crate::storage::SecureStorage;
@@ -45,31 +44,27 @@ pub fn measure_at_boot(
     Ok(SecureStorage::new("authorized hash table", table))
 }
 
-/// Re-measures one area against the enrolled digest (out-of-band check used
-/// by tests and the boot self-test; the *runtime* check goes through the
-/// scan-window path because it must model the race).
-///
-/// # Errors
-///
-/// Propagates [`MemError`] if the area lies outside memory.
-pub fn verify_area_now(
-    mem: &PhysMemory,
-    area: MemRange,
-    idx: usize,
-    table: &SecureStorage<AuthorizedHashTable>,
-) -> Result<satin_hash::VerifyOutcome, MemError> {
-    let t = table
-        .read(World::Secure)
-        .expect("verify_area_now runs in the secure world");
-    let digest = mem.view(area)?.digest(t.algorithm());
-    Ok(t.verify(idx, digest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use satin_hash::VerifyOutcome;
+    use satin_hw::World;
     use satin_mem::KernelLayout;
+
+    /// Re-measures one area against the enrolled digest (the *runtime* check
+    /// goes through the scan-window path because it must model the race).
+    fn verify_area_now(
+        mem: &PhysMemory,
+        area: MemRange,
+        idx: usize,
+        table: &SecureStorage<AuthorizedHashTable>,
+    ) -> Result<satin_hash::VerifyOutcome, MemError> {
+        let t = table
+            .read(World::Secure)
+            .expect("verify_area_now runs in the secure world");
+        let digest = mem.view(area)?.digest(t.algorithm());
+        Ok(t.verify(idx, digest))
+    }
 
     fn setup() -> (KernelLayout, PhysMemory, SecureStorage<AuthorizedHashTable>) {
         let layout = KernelLayout::paper();

@@ -30,17 +30,12 @@ pub struct SecureStorage<T> {
     /// Human-readable resource name used in access-denied errors.
     resource: &'static str,
     value: T,
-    denied_accesses: u64,
 }
 
 impl<T> SecureStorage<T> {
     /// Wraps `value` in secure storage labelled `resource`.
     pub fn new(resource: &'static str, value: T) -> Self {
-        SecureStorage {
-            resource,
-            value,
-            denied_accesses: 0,
-        }
+        SecureStorage { resource, value }
     }
 
     /// Reads the value.
@@ -67,39 +62,6 @@ impl<T> SecureStorage<T> {
     pub fn write(&mut self, from: World) -> Result<&mut T, HwError> {
         if from.is_secure() {
             Ok(&mut self.value)
-        } else {
-            self.denied_accesses += 1;
-            Err(HwError::SecureAccessDenied {
-                from,
-                resource: self.resource,
-            })
-        }
-    }
-
-    /// Attempts a normal-world read and records it — used by tests and by
-    /// attack models probing for misconfigured storage.
-    pub fn probe_from_normal_world(&mut self) -> Result<&T, HwError> {
-        self.denied_accesses += 1;
-        Err(HwError::SecureAccessDenied {
-            from: World::Normal,
-            resource: self.resource,
-        })
-    }
-
-    /// How many normal-world accesses were denied.
-    pub fn denied_accesses(&self) -> u64 {
-        self.denied_accesses
-    }
-
-    /// Consumes the cell, returning the value (secure-world only, for boot
-    /// handoff).
-    ///
-    /// # Errors
-    ///
-    /// [`HwError::SecureAccessDenied`] if `from` is the normal world.
-    pub fn into_inner(self, from: World) -> Result<T, HwError> {
-        if from.is_secure() {
-            Ok(self.value)
         } else {
             Err(HwError::SecureAccessDenied {
                 from,
@@ -201,7 +163,8 @@ impl<T> MeasurementSlots<T> {
     /// # Errors
     ///
     /// [`HwError::SecureAccessDenied`] if `from` is the normal world.
-    pub fn read(&self, from: World) -> Result<impl Iterator<Item = &T>, HwError> {
+    #[cfg(test)]
+    pub(crate) fn read(&self, from: World) -> Result<impl Iterator<Item = &T>, HwError> {
         if from.is_secure() {
             Ok(self.slots.iter())
         } else {
@@ -214,27 +177,26 @@ impl<T> MeasurementSlots<T> {
 
     /// Number of retained measurements (not secret: the attacker knows
     /// the TSP's slot count from its binary).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// `true` if no measurements are retained.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// The fixed slot capacity.
-    pub fn capacity(&self) -> NonZeroUsize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> NonZeroUsize {
         self.capacity
     }
 
     /// How many measurements have been evicted to make room.
-    pub fn evictions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// How many normal-world accesses were denied.
-    pub fn denied_accesses(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn denied_accesses(&self) -> u64 {
         self.denied_accesses
     }
 }
@@ -249,9 +211,6 @@ mod tests {
         let mut cell = SecureStorage::new("hash table", 42u64);
         assert!(cell.read(World::Normal).is_err());
         assert!(cell.write(World::Normal).is_err());
-        assert!(cell.probe_from_normal_world().is_err());
-        assert_eq!(cell.denied_accesses(), 2);
-        assert!(cell.into_inner(World::Normal).is_err());
     }
 
     #[test]
@@ -259,7 +218,6 @@ mod tests {
         let mut cell = SecureStorage::new("queue", vec![0u8]);
         cell.write(World::Secure).unwrap().push(1);
         assert_eq!(cell.read(World::Secure).unwrap(), &vec![0, 1]);
-        assert_eq!(cell.into_inner(World::Secure).unwrap(), vec![0, 1]);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub struct CoreStats {
 #[derive(Debug, Clone)]
 pub struct TestSecurePayload {
     stats: Vec<CoreStats>,
-    last_invocation: Option<(CoreId, SimTime)>,
     recent: MeasurementSlots<(CoreId, SimTime)>,
 }
 
@@ -54,7 +53,6 @@ impl TestSecurePayload {
         assert!(num_cores > 0, "TSP needs at least one core");
         TestSecurePayload {
             stats: vec![CoreStats::default(); num_cores],
-            last_invocation: None,
             recent: MeasurementSlots::new(
                 "recent invocation slots",
                 NonZeroUsize::new(RECENT_SLOTS).expect("RECENT_SLOTS is non-zero"),
@@ -75,7 +73,6 @@ impl TestSecurePayload {
             .expect("core id within TSP topology");
         s.invocations += 1;
         s.residency += residency;
-        self.last_invocation = Some((core, at));
         // The TSP itself runs in the secure world; once the fixed slot
         // region fills, the oldest record is evicted (a typed outcome,
         // not a panic — long campaigns keep a sliding window).
@@ -83,7 +80,8 @@ impl TestSecurePayload {
     }
 
     /// The bounded log of recent invocations (secure-world only).
-    pub fn recent_invocations(&self) -> &MeasurementSlots<(CoreId, SimTime)> {
+    #[cfg(test)]
+    pub(crate) fn recent_invocations(&self) -> &MeasurementSlots<(CoreId, SimTime)> {
         &self.recent
     }
 
@@ -102,18 +100,6 @@ impl TestSecurePayload {
     /// Total invocations across cores.
     pub fn total_invocations(&self) -> u64 {
         self.stats.iter().map(|s| s.invocations).sum()
-    }
-
-    /// Total secure-world residency across cores.
-    pub fn total_residency(&self) -> SimDuration {
-        self.stats
-            .iter()
-            .fold(SimDuration::ZERO, |acc, s| acc + s.residency)
-    }
-
-    /// The most recent invocation, if any.
-    pub fn last_invocation(&self) -> Option<(CoreId, SimTime)> {
-        self.last_invocation
     }
 }
 
@@ -146,11 +132,11 @@ mod tests {
         );
         assert_eq!(tsp.stats(CoreId::new(1)).invocations, 0);
         assert_eq!(tsp.total_invocations(), 3);
-        assert_eq!(tsp.total_residency(), SimDuration::from_millis(13));
-        assert_eq!(
-            tsp.last_invocation(),
-            Some((CoreId::new(2), SimTime::from_secs(3)))
-        );
+        let residency = tsp
+            .stats
+            .iter()
+            .fold(SimDuration::ZERO, |acc, s| acc + s.residency);
+        assert_eq!(residency, SimDuration::from_millis(13));
         let recent: Vec<_> = tsp
             .recent_invocations()
             .read(World::Secure)

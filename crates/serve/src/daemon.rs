@@ -8,11 +8,13 @@
 //! and `shutdown` arrives as a request, so the loop needs no wake-up path.
 //!
 //! One client at a time means one client must not hold the loop: the
-//! request line has a read deadline ([`READ_DEADLINE`]) and a length cap
+//! request line has a read deadline (`READ_DEADLINE`) and a length cap
 //! ([`MAX_REQUEST_BYTES`]), answered with a `done` error line, and every
-//! write has a deadline ([`WRITE_DEADLINE`]), after which a client that
+//! write has a deadline (`WRITE_DEADLINE`), after which a client that
 //! stopped reading counts as gone (its job still completes and is stored).
 //! The socket file is removed on every exit path, fatal errors included.
+//! A job whose backend panics is answered with a `done` error line, stores
+//! nothing, and leaves the daemon serving.
 //!
 //! Protocol (JSONL, one request line per connection):
 //!
@@ -44,20 +46,22 @@ use satin_obs::json::Json;
 use satin_obs::{EventStream, HostClock};
 use satin_scenario::Scenario;
 use satin_telemetry::json_escape;
+use std::any::Any;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Duration;
 
 /// How long a client has to deliver its whole request line after the
 /// daemon accepts it. Clients write the line right after connecting.
-pub const READ_DEADLINE: Duration = Duration::from_secs(2);
+pub(crate) const READ_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Longest request line the daemon reads; a submit is about 1 KB.
 pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// How long one reply write may block before the client counts as gone.
-pub const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+pub(crate) const WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Removes the socket file when the daemon leaves [`serve`], however it
 /// leaves.
@@ -277,18 +281,24 @@ where
     // job finishes — the store still gets the fresh rows either way, and
     // no done line waits out another write deadline.
     let mut client_gone = false;
-    let outcome = service.run_job(
-        &scenario,
-        &seeds,
-        |sc: &Scenario, miss: &[u64]| backend(sc, miss),
-        |seq, ev| {
-            if !client_gone {
-                let line = ev.jsonl_line(seq);
-                let sent = writeln!(writer, "{line}").and_then(|()| writer.flush());
-                client_gone = sent.is_err();
-            }
-        },
-    );
+    // A backend panic unwinds before `run_job` stores any row (fresh rows
+    // are put only after the backend returns), so the service is left as
+    // it was and the daemon keeps serving.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        service.run_job(
+            &scenario,
+            &seeds,
+            |sc: &Scenario, miss: &[u64]| backend(sc, miss),
+            |seq, ev| {
+                if !client_gone {
+                    let line = ev.jsonl_line(seq);
+                    let sent = writeln!(writer, "{line}").and_then(|()| writer.flush());
+                    client_gone = sent.is_err();
+                }
+            },
+        )
+    }))
+    .unwrap_or_else(|payload| Err(format!("job backend panicked: {}", panic_text(&*payload))));
     if client_gone {
         return Err("client hung up mid-stream (job completed and was cached)".into());
     }
@@ -314,6 +324,15 @@ where
         Err(e) => send_error(writer, &e),
     }
     Ok(())
+}
+
+/// The message a panic was raised with, when it carries one.
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
 }
 
 fn send_line(writer: &mut UnixStream, line: &str) -> Result<(), String> {

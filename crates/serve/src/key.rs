@@ -69,7 +69,7 @@ impl JobKey {
 
 /// The seed-free job identity string used to label `job.*` events:
 /// `scenario/faults/code`, each as 16 hex digits.
-pub fn job_id(scenario: &Scenario, code: u64) -> String {
+pub(crate) fn job_id(scenario: &Scenario, code: u64) -> String {
     format!(
         "{:016x}/{:016x}/{:016x}",
         scenario.content_hash(),

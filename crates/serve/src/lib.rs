@@ -12,7 +12,7 @@
 //!   observable behaviour may have. Writes are append + flush,
 //!   first-write-wins; reads tolerate exactly one torn trailing line (a
 //!   crash mid-append) and reject any other corruption loudly.
-//! - [`service`]: the cache-or-compute fold. [`JobService::run_job`] answers
+//! - `service`: the cache-or-compute fold. [`JobService::run_job`] answers
 //!   cached cells without simulating (emitting `job.cache_hit` events),
 //!   hands only the missing seeds to a backend closure, persists the fresh
 //!   rows, and renders a report that is **byte-identical whether every cell
@@ -32,11 +32,11 @@
 //! values above 2^53.
 
 pub mod daemon;
-pub mod key;
-pub mod service;
+pub(crate) mod key;
+pub(crate) mod service;
 pub mod store;
 
 pub use daemon::{ping, serve, shutdown, submit, SubmitReply};
-pub use key::{code_fingerprint, job_id, JobKey, SIM_CODE_REVISION};
+pub use key::{code_fingerprint, JobKey, SIM_CODE_REVISION};
 pub use service::{render_report, JobOutcome, JobService};
-pub use store::{CellRecord, ResultStore, STORE_FORMAT_VERSION};
+pub use store::{CellRecord, ResultStore};

@@ -50,17 +50,17 @@ impl JobService {
 
     /// A service with an explicit code fingerprint (tests pin it so a
     /// version bump cannot silently invalidate their fixtures).
-    pub fn with_code(store: ResultStore, code: u64) -> Self {
+    pub(crate) fn with_code(store: ResultStore, code: u64) -> Self {
         JobService { store, code }
     }
 
     /// The backing store.
-    pub fn store(&self) -> &ResultStore {
+    pub(crate) fn store(&self) -> &ResultStore {
         &self.store
     }
 
     /// The fingerprint keys are minted under.
-    pub fn code(&self) -> u64 {
+    pub(crate) fn code(&self) -> u64 {
         self.code
     }
 

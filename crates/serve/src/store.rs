@@ -30,7 +30,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// On-disk segment format version; parsing rejects any other value.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+pub(crate) const STORE_FORMAT_VERSION: u32 = 1;
 
 /// The stored outcome of one campaign cell — exactly the fields the fault
 /// report renders, so a cached row reproduces its table line verbatim.
@@ -185,11 +185,6 @@ impl ResultStore {
         })
     }
 
-    /// The segment file this store appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Cached cells.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -201,7 +196,7 @@ impl ResultStore {
     }
 
     /// The cached record for `key`, if any.
-    pub fn get(&self, key: &JobKey) -> Option<&CellRecord> {
+    pub(crate) fn get(&self, key: &JobKey) -> Option<&CellRecord> {
         self.index.get(key)
     }
 
@@ -213,7 +208,7 @@ impl ResultStore {
     /// # Errors
     ///
     /// The underlying filesystem append failing.
-    pub fn put(&mut self, key: JobKey, rec: CellRecord) -> Result<bool, String> {
+    pub(crate) fn put(&mut self, key: JobKey, rec: CellRecord) -> Result<bool, String> {
         if self.index.contains_key(&key) {
             return Ok(false);
         }

@@ -127,7 +127,7 @@ impl Triangular {
     /// # Panics
     ///
     /// Panics unless `0 <= min <= mode <= max` and all finite.
-    pub fn new(min: f64, mode: f64, max: f64) -> Self {
+    pub(crate) fn new(min: f64, mode: f64, max: f64) -> Self {
         assert!(
             min.is_finite() && mode.is_finite() && max.is_finite(),
             "non-finite triangular parameter"
@@ -155,21 +155,6 @@ impl Triangular {
         );
         let mode = (3.0 * mean - min - max).clamp(min, max);
         Triangular::new(min, mode, max)
-    }
-
-    /// Smallest possible sample.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Most likely sample.
-    pub fn mode(&self) -> f64 {
-        self.mode
-    }
-
-    /// Largest possible sample.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -309,11 +294,6 @@ impl<B: SecondsDist, T: SecondsDist> HeavyTail<B, T> {
             tail_prob,
         }
     }
-
-    /// Probability of drawing from the tail component.
-    pub fn tail_prob(&self) -> f64 {
-        self.tail_prob
-    }
 }
 
 impl<B: SecondsDist, T: SecondsDist> SecondsDist for HeavyTail<B, T> {
@@ -376,7 +356,7 @@ mod tests {
         }
         // Mode clamps to min here (3*mean - min - max < min), so the
         // distribution leans hard toward the minimum, like the paper's data.
-        assert_eq!(d.mode(), 6.67e-9);
+        assert_eq!(d.mode, 6.67e-9);
     }
 
     #[test]
@@ -483,7 +463,7 @@ mod tests {
             let max = min + spread;
             let mean = min + frac * spread;
             let d = Triangular::from_min_mean_max(min, mean, max);
-            prop_assert!(d.mode() >= min && d.mode() <= max);
+            prop_assert!(d.mode >= min && d.mode <= max);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::observe::{Mark, SimObserver};
 use crate::queue::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::fmt;
 
 /// A discrete-event simulator over events of type `E`.
@@ -17,18 +17,18 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use satin_sim::{Simulator, SimDuration};
+/// use satin_sim::{Simulator, SimDuration, SimTime};
 ///
 /// #[derive(Debug, PartialEq)]
 /// enum Ev { Ping, Pong }
 ///
 /// let mut sim = Simulator::new();
-/// sim.schedule_after(SimDuration::from_nanos(10), Ev::Ping);
-/// let (t, ev) = sim.pop().unwrap();
+/// sim.schedule_at(SimTime::from_nanos(10), Ev::Ping);
+/// let (t, ev) = sim.pop_until(SimTime::MAX).unwrap();
 /// assert_eq!(ev, Ev::Ping);
 /// assert_eq!(sim.now(), t);
-/// sim.schedule_after(SimDuration::from_nanos(5), Ev::Pong);
-/// assert_eq!(sim.pop().unwrap().1, Ev::Pong);
+/// sim.schedule_at(t + SimDuration::from_nanos(5), Ev::Pong);
+/// assert_eq!(sim.pop_until(SimTime::MAX).unwrap().1, Ev::Pong);
 /// ```
 pub struct Simulator<E> {
     now: SimTime,
@@ -75,11 +75,6 @@ impl<E> Simulator<E> {
         self.dispatched
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Pre-sizes the event queue for about `n` in-flight events. A sizing
     /// hint only — purely an allocation optimization, never observable in
     /// event order or timing.
@@ -121,12 +116,6 @@ impl<E> Simulator<E> {
         self.enqueue(at, event);
     }
 
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        let at = self.now + delay;
-        self.enqueue(at, event);
-    }
-
     /// Notifies the observer (if any) and pushes onto the queue.
     fn enqueue(&mut self, at: SimTime, event: E) {
         if let Some(obs) = self.observer.as_deref_mut() {
@@ -139,7 +128,7 @@ impl<E> Simulator<E> {
     /// Pops the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when no events are pending.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let (t, seq, ev) = self.queue.pop_entry()?;
         debug_assert!(t >= self.now, "event queue returned a past event");
         self.now = t;
@@ -194,7 +183,7 @@ mod tests {
         sim.pop();
         // Scheduling at exactly `now` is fine.
         sim.schedule_at(SimTime::from_nanos(100), 3);
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.queue.len(), 1);
         sim.schedule_at(SimTime::from_nanos(10), 2);
     }
 
@@ -207,7 +196,7 @@ mod tests {
         assert_eq!(sim.pop_until(deadline), Some((SimTime::from_nanos(10), 1)));
         assert_eq!(sim.pop_until(deadline), None);
         assert_eq!(sim.now(), deadline);
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.queue.len(), 1);
     }
 
     #[test]
@@ -226,7 +215,7 @@ mod tests {
         let seen: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, ev)| ev)).collect();
         assert_eq!(seen, (0..10).collect::<Vec<u32>>());
         assert_eq!(sim.dispatched(), 10);
-        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.queue.len(), 0);
     }
 
     proptest! {

@@ -15,25 +15,25 @@
 //! # Example
 //!
 //! ```
-//! use satin_sim::{Simulator, SimDuration};
+//! use satin_sim::{Simulator, SimTime};
 //!
 //! let mut sim: Simulator<&'static str> = Simulator::new();
-//! sim.schedule_after(SimDuration::from_micros(3), "later");
-//! sim.schedule_after(SimDuration::from_micros(1), "sooner");
+//! sim.schedule_at(SimTime::from_micros(3), "later");
+//! sim.schedule_at(SimTime::from_micros(1), "sooner");
 //! let mut order = Vec::new();
-//! while let Some((t, ev)) = sim.pop() {
+//! while let Some((t, ev)) = sim.pop_until(SimTime::MAX) {
 //!     order.push((t.as_nanos(), ev));
 //! }
 //! assert_eq!(order, vec![(1_000, "sooner"), (3_000, "later")]);
 //! ```
 
 pub mod dist;
-pub mod engine;
-pub mod observe;
+pub(crate) mod engine;
+pub(crate) mod observe;
 mod queue;
-pub mod rng;
-pub mod time;
-pub mod trace;
+pub(crate) mod rng;
+pub(crate) mod time;
+pub(crate) mod trace;
 
 pub use engine::Simulator;
 pub use observe::{Mark, MarkTag, SimObserver};

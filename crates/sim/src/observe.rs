@@ -115,7 +115,7 @@ impl Mark {
 /// # Example
 ///
 /// ```
-/// use satin_sim::{SimObserver, SimTime, Simulator, SimDuration};
+/// use satin_sim::{SimObserver, SimTime, Simulator};
 /// use std::cell::RefCell;
 /// use std::rc::Rc;
 ///
@@ -131,10 +131,10 @@ impl Mark {
 /// let seen = Rc::new(RefCell::new(Vec::new()));
 /// let mut sim = Simulator::new();
 /// sim.set_observer(Box::new(SeqRecorder(Rc::clone(&seen))));
-/// sim.schedule_after(SimDuration::from_nanos(5), "b");
-/// sim.schedule_after(SimDuration::from_nanos(5), "c");
-/// sim.schedule_after(SimDuration::from_nanos(1), "a");
-/// while sim.pop().is_some() {}
+/// sim.schedule_at(SimTime::from_nanos(5), "b");
+/// sim.schedule_at(SimTime::from_nanos(5), "c");
+/// sim.schedule_at(SimTime::from_nanos(1), "a");
+/// while sim.pop_until(SimTime::MAX).is_some() {}
 /// assert_eq!(*seen.borrow(), vec![2, 0, 1]); // "a" first, then FIFO ties
 /// ```
 pub trait SimObserver<E> {

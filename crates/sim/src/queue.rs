@@ -83,7 +83,7 @@ pub(crate) struct EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             near: Vec::new(),
             near_slot: 0,
@@ -97,12 +97,12 @@ impl<E> EventQueue<E> {
 
     /// Pre-sizes the near run for about `n` in-flight events, so a fresh
     /// per-seed queue doesn't re-grow during warm-up.
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.near.reserve(n);
     }
 
     /// Enqueues `payload` to fire at `time`.
-    pub fn push(&mut self, time: SimTime, payload: E) {
+    pub(crate) fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.route(Entry { time, seq, payload });
@@ -179,7 +179,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event with its sequence number (the
     /// FIFO tie-breaker assigned at push time), or `None` if empty.
     #[must_use = "popping discards the event if the result is unused"]
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
+    pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         if self.len == 0 {
             return None;
         }
@@ -190,7 +190,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The sequence number the *next* pushed event will receive.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -200,7 +200,7 @@ impl<E> EventQueue<E> {
     /// the sorted near run (the earliest entry's position isn't known until
     /// its slot is sorted).
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
@@ -210,7 +210,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 }

@@ -60,7 +60,7 @@ impl SimRng {
     }
 
     /// Uniform draw in `[0, 1)`: the top 53 bits scaled by 2⁻⁵³.
-    pub fn uniform_f64(&mut self) -> f64 {
+    pub(crate) fn uniform_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -69,7 +69,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo >= hi` or either bound is non-finite.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(
             lo.is_finite() && hi.is_finite() && lo < hi,
             "invalid range [{lo}, {hi})"
@@ -178,18 +178,14 @@ impl RngFactory {
         RngFactory { master_seed }
     }
 
-    /// The master seed this factory derives from.
-    pub const fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Derives the stream named `label`.
     pub fn stream(&self, label: &str) -> SimRng {
         SimRng::seed_from(splitmix64(self.master_seed ^ fnv1a64(label.as_bytes())))
     }
 
     /// Derives a numbered sub-stream, e.g. one per repetition round.
-    pub fn substream(&self, label: &str, index: u64) -> SimRng {
+    #[cfg(test)]
+    pub(crate) fn substream(&self, label: &str, index: u64) -> SimRng {
         let base = self.master_seed ^ fnv1a64(label.as_bytes());
         SimRng::seed_from(splitmix64(base.wrapping_add(splitmix64(index))))
     }

@@ -101,7 +101,8 @@ impl SimTime {
     }
 
     /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+    #[cfg(test)]
+    pub(crate) fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
 }
@@ -110,7 +111,8 @@ impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
     /// The longest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
+    #[cfg(test)]
+    pub(crate) const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// A duration of `nanos` nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -163,13 +165,9 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
     /// Checked multiplication by an integer count; `None` on overflow.
-    pub fn checked_mul(self, count: u64) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn checked_mul(self, count: u64) -> Option<SimDuration> {
         self.0.checked_mul(count).map(SimDuration)
     }
 

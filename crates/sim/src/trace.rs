@@ -146,7 +146,7 @@ pub struct TraceLog {
 
 impl TraceLog {
     /// Default capacity: enough for any single experiment round.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
+    pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
     /// Creates an enabled log with the default capacity.
     pub fn new() -> Self {
@@ -168,9 +168,7 @@ impl TraceLog {
         }
     }
 
-    /// A log that records nothing (for hot benchmark paths). It keeps the
-    /// default capacity so a later [`set_enabled(true)`](Self::set_enabled)
-    /// behaves like a fresh log rather than one that evicts on every record.
+    /// A log that records nothing (for hot benchmark paths).
     pub fn disabled() -> Self {
         TraceLog {
             entries: VecDeque::new(),
@@ -183,11 +181,6 @@ impl TraceLog {
     /// `true` if recording is enabled.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Turns recording on or off without clearing existing entries.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// Appends an entry (no-op when disabled).
@@ -245,7 +238,8 @@ impl TraceLog {
     }
 
     /// Clears all entries and the dropped counter.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.dropped = 0;
     }
@@ -333,7 +327,7 @@ mod tests {
         // Regression: `disabled()` used to report `capacity: 1`, so a log
         // re-enabled later silently evicted every record but the last.
         let mut log = TraceLog::disabled();
-        log.set_enabled(true);
+        log.enabled = true;
         for i in 0..100u64 {
             log.record(SimTime::from_nanos(i), "c", i.to_string());
         }
@@ -344,9 +338,9 @@ mod tests {
     #[test]
     fn toggle_enable() {
         let mut log = TraceLog::new();
-        log.set_enabled(false);
+        log.enabled = false;
         log.record(SimTime::ZERO, "c", "skipped");
-        log.set_enabled(true);
+        log.enabled = true;
         log.record(SimTime::ZERO, "c", "kept");
         assert_eq!(log.len(), 1);
     }

@@ -13,7 +13,7 @@
 //! - [`chart`] — ASCII bar charts and boxplot strips for terminal reports;
 //! - [`fmt_sci`] — the paper's `x.xx e-y s` scientific time formatting.
 
-pub mod boxplot;
+pub(crate) mod boxplot;
 pub mod chart;
 pub mod hist;
 pub mod summary;

@@ -56,11 +56,6 @@ impl OnlineStats {
         self.max = self.max.max(value);
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Finalizes into a [`Summary`], or `None` if no observations were added.
     pub fn summary(&self) -> Option<Summary> {
         if self.n == 0 {
@@ -192,7 +187,7 @@ mod tests {
     fn from_iterator_and_extend() {
         let mut s: OnlineStats = [1.0, 2.0].into_iter().collect();
         s.extend([3.0]);
-        assert_eq!(s.count(), 3);
+        assert_eq!(s.n, 3);
         assert_eq!(s.summary().unwrap().mean, 2.0);
     }
 

@@ -22,7 +22,7 @@ pub enum Align {
 /// let mut t = Table::new(vec!["Core-Time".into(), "Hash 1-Byte".into()]);
 /// t.align(1, Align::Right);
 /// t.row(vec!["A53-Average".into(), "1.07e-8".into()]);
-/// let out = t.render();
+/// let out = t.to_string();
 /// assert!(out.contains("A53-Average"));
 /// assert!(out.lines().count() >= 3); // header, rule, one row
 /// ```
@@ -49,12 +49,6 @@ impl Table {
             rows: Vec::new(),
             title: None,
         }
-    }
-
-    /// Sets an optional title printed above the table.
-    pub fn title(&mut self, title: impl Into<String>) -> &mut Self {
-        self.title = Some(title.into());
-        self
     }
 
     /// Sets the alignment of column `col`.
@@ -84,13 +78,8 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -174,7 +163,7 @@ mod tests {
     #[test]
     fn title_rendered_first() {
         let mut t = sample();
-        t.title("TABLE I");
+        t.title = Some("TABLE I".into());
         assert!(t.render().starts_with("TABLE I\n"));
     }
 
@@ -189,6 +178,6 @@ mod tests {
     fn display_matches_render() {
         let t = sample();
         assert_eq!(t.to_string(), t.render());
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 }

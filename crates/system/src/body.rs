@@ -87,7 +87,8 @@ impl RunOutcome {
     }
 
     /// Busy for `busy`, then block.
-    pub fn block_after(busy: SimDuration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn block_after(busy: SimDuration) -> Self {
         RunOutcome {
             busy,
             then: Then::Block,
@@ -156,21 +157,6 @@ impl<'a> RunCtx<'a> {
     /// The core this activation runs on.
     pub fn core(&self) -> CoreId {
         self.core
-    }
-
-    /// The core's microarchitecture.
-    pub fn core_kind(&self) -> CoreKind {
-        self.kind
-    }
-
-    /// Deterministic randomness for the task.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    /// The platform timing model (read-only).
-    pub fn timing(&self) -> &TimingModel {
-        self.timing
     }
 
     /// Publishes a time report from this core into the shared buffer. The

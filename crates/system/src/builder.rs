@@ -84,7 +84,7 @@ impl SystemBuilder {
     /// Sets the fault-injection plan. An empty (default) plan means a clean
     /// run; a non-empty plan arms a deterministic [`FaultInjector`] keyed by
     /// the master seed and the attempt number.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
+    pub(crate) fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
@@ -93,12 +93,6 @@ impl SystemBuilder {
     /// attempt budget stop firing on later attempts).
     pub fn fault_attempt(mut self, attempt: u32) -> Self {
         self.fault_attempt = attempt.max(1);
-        self
-    }
-
-    /// Replaces the kernel layout.
-    pub fn layout(mut self, layout: KernelLayout) -> Self {
-        self.layout = layout;
         self
     }
 

@@ -19,14 +19,14 @@
 //! dispatch jitter, periodic ticks with `NO_HZ_IDLE`, and post-secure-world
 //! cache-pollution windows (the Figure 7 overhead mechanism).
 
-pub mod body;
-pub mod builder;
-pub mod event;
-pub mod machine;
-pub mod metrics;
-pub mod service;
-pub mod stats;
-pub mod timebuf;
+pub(crate) mod body;
+pub(crate) mod builder;
+pub(crate) mod event;
+pub(crate) mod machine;
+pub(crate) mod metrics;
+pub(crate) mod service;
+pub(crate) mod stats;
+pub(crate) mod timebuf;
 
 pub use body::{RunCtx, RunOutcome, Then, ThreadBody};
 pub use builder::SystemBuilder;

@@ -214,7 +214,7 @@ impl System {
     }
 
     /// Sets a task's cache-pollution sensitivity (see
-    /// [`crate::stats::TaskWork`]).
+    /// `crate::stats::TaskWork`).
     pub fn set_sensitivity(&mut self, task: TaskId, sensitivity: f64) {
         assert!(
             (0.0..=1.0).contains(&sensitivity),
@@ -363,7 +363,7 @@ impl System {
     }
 
     /// Per-core, per-subsystem counters (shorthand for
-    /// [`stats().metrics`](crate::stats::SysStats::metrics)).
+    /// `stats().metrics`).
     pub fn metrics(&self) -> &SysMetrics {
         &self.stats.metrics
     }

@@ -160,14 +160,12 @@ impl System {
 
     fn call_service_timer(&mut self, now: SimTime, core: CoreId) -> Option<ScanRequest> {
         let mut service = self.service.take()?;
-        let kind = self.platform.core_kind(core);
         let mut rearm = None;
         let request = {
             let mut ctx = SecureCtx {
                 now,
                 fired: now,
                 core,
-                kind,
                 platform: &mut self.platform,
                 mem: &mut self.mem,
                 scans: &mut self.scans,
@@ -231,14 +229,12 @@ impl System {
                 }
             }
             if let Some(mut service) = self.service.take() {
-                let kind = self.platform.core_kind(core);
                 let mut rearm = None;
                 {
                     let mut ctx = SecureCtx {
                         now,
                         fired: session.fired,
                         core,
-                        kind,
                         platform: &mut self.platform,
                         mem: &mut self.mem,
                         scans: &mut self.scans,

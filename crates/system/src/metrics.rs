@@ -69,17 +69,11 @@ pub struct SysMetrics {
 impl SysMetrics {
     /// Creates zeroed metrics for `num_cores` cores.
     #[must_use]
-    pub fn new(num_cores: usize) -> Self {
+    pub(crate) fn new(num_cores: usize) -> Self {
         SysMetrics {
             cores: vec![CoreMetrics::default(); num_cores],
             ..SysMetrics::default()
         }
-    }
-
-    /// Number of cores tracked.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// One core's counters.
@@ -88,7 +82,8 @@ impl SysMetrics {
     ///
     /// Panics if `core` is beyond the tracked topology.
     #[must_use]
-    pub fn core(&self, core: CoreId) -> &CoreMetrics {
+    #[cfg(test)]
+    pub(crate) fn core(&self, core: CoreId) -> &CoreMetrics {
         &self.cores[core.index()]
     }
 

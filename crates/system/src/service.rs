@@ -2,7 +2,7 @@
 
 use satin_faults::SatinError;
 use satin_hw::timing::{ScanStrategy, TimingModel};
-use satin_hw::{CoreId, CoreKind, HwError, Platform, World};
+use satin_hw::{CoreId, HwError, Platform, World};
 use satin_mem::{KernelLayout, MemError, MemRange, PhysAddr, PhysMemory};
 use satin_sim::{SimRng, SimTime, TraceCategory, TraceLog};
 
@@ -78,11 +78,6 @@ impl<'a> BootCtx<'a> {
         self.platform.topology().num_cores()
     }
 
-    /// The kind of `core`.
-    pub fn core_kind(&self, core: CoreId) -> CoreKind {
-        self.platform.core_kind(core)
-    }
-
     /// The timing model.
     pub fn timing(&self) -> &TimingModel {
         self.platform.timing()
@@ -116,7 +111,6 @@ pub struct SecureCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) fired: SimTime,
     pub(crate) core: CoreId,
-    pub(crate) kind: CoreKind,
     pub(crate) platform: &'a mut Platform,
     pub(crate) mem: &'a mut PhysMemory,
     pub(crate) scans: &'a mut Vec<crate::machine::ActiveScan>,
@@ -138,21 +132,6 @@ impl<'a> SecureCtx<'a> {
     /// world-switch plus the scan duration).
     pub fn fired(&self) -> SimTime {
         self.fired
-    }
-
-    /// The core handling the interrupt.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// The core's microarchitecture (determines the scan rate).
-    pub fn core_kind(&self) -> CoreKind {
-        self.kind
-    }
-
-    /// The timing model.
-    pub fn timing(&self) -> &TimingModel {
-        self.platform.timing()
     }
 
     /// Secure randomness (the normal world cannot observe these draws).
@@ -202,18 +181,13 @@ impl<'a> SecureCtx<'a> {
     }
 
     /// Raises an integrity alarm: counted in
-    /// [`SysStats::alarms`](crate::stats::SysStats::alarms) (which feeds the
+    /// `SysStats::alarms` (which feeds the
     /// machine's detection-latency histogram) and traced as
     /// [`TraceCategory::SatinAlarm`].
     pub fn raise_alarm(&mut self, detail: impl Into<String>) {
         *self.alarms += 1;
         self.trace
             .record(self.now, TraceCategory::SatinAlarm, detail);
-    }
-
-    /// Appends a trace entry.
-    pub fn trace(&mut self, category: impl Into<TraceCategory>, detail: impl Into<String>) {
-        self.trace.record(self.now, category, detail);
     }
 }
 

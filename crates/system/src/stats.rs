@@ -36,12 +36,12 @@ pub struct SysStats {
 
 impl SysStats {
     /// Creates zeroed stats.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records the boot-time (genuine) pointer of syscall `nr`.
-    pub fn record_genuine_syscall(&mut self, nr: u64, ptr: u64) {
+    pub(crate) fn record_genuine_syscall(&mut self, nr: u64, ptr: u64) {
         self.genuine_syscalls.insert(nr, ptr);
     }
 
@@ -60,7 +60,7 @@ impl SysStats {
 /// task's sensitivity. A workload's score is then effective seconds × its
 /// nominal operation rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskWork {
+pub(crate) struct TaskWork {
     /// Accumulated effective seconds.
     pub effective_secs: f64,
     /// How strongly pollution windows slow this task (0 = immune,
@@ -82,7 +82,7 @@ impl TaskWork {
     /// Accrues one run span `[start, end]` on a core whose pollution window
     /// lasts until `pollution_until` with slowdown factor `slowdown`, at
     /// relative core speed `core_speed`.
-    pub fn accrue(
+    pub(crate) fn accrue(
         &mut self,
         start: SimTime,
         end: SimTime,

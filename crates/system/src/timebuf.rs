@@ -149,17 +149,13 @@ impl SharedTimeBuffer {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn read_local(&self, core: CoreId, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn read_local(&self, core: CoreId, now: SimTime) -> Option<SimTime> {
         self.slots[core.index()].freshest(|r| r.published <= now)
     }
 
-    /// Number of cores covered.
-    pub fn num_cores(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Clears all reports.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         for slot in &mut self.slots {
             slot.reports.clear();
             slot.in_order = true;

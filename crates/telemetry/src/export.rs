@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 /// Pseudo-track base for [`TraceLog`] categories merged into a Chrome trace:
 /// category prefix group *k* (sorted) renders as `tid` `1000 + k`.
-pub const TRACELOG_TRACK_BASE: u32 = 1000;
+pub(crate) const TRACELOG_TRACK_BASE: u32 = 1000;
 
 /// Escapes a string for embedding inside a JSON string literal (without the
 /// surrounding quotes).

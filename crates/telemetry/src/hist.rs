@@ -13,7 +13,7 @@ use std::fmt;
 
 /// Number of buckets in a [`DurationHistogram`]: one zero bucket plus one
 /// per power of two of nanoseconds.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// A histogram of [`SimDuration`] observations in log₂-scaled buckets.
 ///
@@ -27,7 +27,7 @@ pub const NUM_BUCKETS: usize = 65;
 /// use satin_telemetry::DurationHistogram;
 /// use satin_sim::SimDuration;
 ///
-/// let mut h = DurationHistogram::new();
+/// let mut h = DurationHistogram::default();
 /// h.record(SimDuration::from_nanos(3));
 /// h.record(SimDuration::from_micros(2));
 /// assert_eq!(h.count(), 2);
@@ -48,7 +48,7 @@ pub struct DurationHistogram {
 
 impl DurationHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DurationHistogram {
             buckets: [0; NUM_BUCKETS],
             count: 0,
@@ -59,7 +59,7 @@ impl DurationHistogram {
     }
 
     /// The bucket index for a duration of `nanos` nanoseconds.
-    pub fn bucket_index(nanos: u64) -> usize {
+    pub(crate) fn bucket_index(nanos: u64) -> usize {
         if nanos == 0 {
             0
         } else {
@@ -135,14 +135,9 @@ impl DurationHistogram {
     }
 
     /// Mean observation, if any (integer nanoseconds, rounded down).
-    pub fn mean(&self) -> Option<SimDuration> {
+    pub(crate) fn mean(&self) -> Option<SimDuration> {
         (self.count > 0)
             .then(|| SimDuration::from_nanos((self.sum_nanos / u128::from(self.count)) as u64))
-    }
-
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; NUM_BUCKETS] {
-        &self.buckets
     }
 
     /// `(bucket index, lo ns, hi ns, count)` for every nonempty bucket, in
@@ -161,7 +156,7 @@ impl DurationHistogram {
     /// An upper-bound estimate of the `q`-quantile (`0.0..=1.0`): the upper
     /// edge of the bucket containing the ⌈q·count⌉-th observation, clamped
     /// to the recorded `[min, max]`. Integer math only, so deterministic.
-    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<SimDuration> {
         if self.count == 0 {
             return None;
         }
@@ -339,7 +334,7 @@ mod tests {
                 permuted.merge(&workers[i]);
             }
             prop_assert_eq!(&in_order, &permuted);
-            prop_assert_eq!(in_order.buckets(), permuted.buckets());
+            prop_assert_eq!(in_order.buckets, permuted.buckets);
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   merge**: merging per-worker copies in any order yields bit-identical
 //!   results, so parallel campaign runners aggregate identically for any
 //!   `--jobs` count;
-//! - [`export`] renders a timeline as Chrome `trace_event` JSON (loadable
+//! - `export` renders a timeline as Chrome `trace_event` JSON (loadable
 //!   in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)) or as a
 //!   line-delimited JSONL event stream.
 //!
@@ -22,9 +22,9 @@
 //! and schedules no events, so enabling telemetry can never change an
 //! experiment's outcome — the golden-trace snapshots pin this.
 
-pub mod export;
-pub mod hist;
-pub mod span;
+pub(crate) mod export;
+pub(crate) mod hist;
+pub(crate) mod span;
 
 pub use export::{chrome_trace, json_escape, jsonl_events};
 pub use hist::DurationHistogram;

@@ -19,10 +19,10 @@ pub struct SpanId(u32);
 impl SpanId {
     /// The id handed out by a disabled (or full) timeline; all operations
     /// on it are no-ops.
-    pub const DETACHED: SpanId = SpanId(u32::MAX);
+    pub(crate) const DETACHED: SpanId = SpanId(u32::MAX);
 
     /// `true` if this id refers to no recorded span.
-    pub fn is_detached(self) -> bool {
+    pub(crate) fn is_detached(self) -> bool {
         self == Self::DETACHED
     }
 
@@ -72,7 +72,7 @@ pub struct InstantRecord {
 /// An append-only recorder of spans and instants in sim-time.
 ///
 /// A disabled timeline records nothing and hands out
-/// [`SpanId::DETACHED`]; a full one stops accepting *new* spans (counting
+/// `SpanId::DETACHED`; a full one stops accepting *new* spans (counting
 /// them as dropped) but still closes already-open ones, so exported traces
 /// never contain dangling intervals caused by the capacity bound.
 ///
@@ -104,7 +104,7 @@ pub struct Timeline {
 impl Timeline {
     /// Default capacity (spans + instants each): enough for hours of
     /// simulated introspection sessions without unbounded growth.
-    pub const DEFAULT_CAPACITY: usize = 262_144;
+    pub(crate) const DEFAULT_CAPACITY: usize = 262_144;
 
     /// An enabled timeline with the default capacity.
     pub fn new() -> Self {
@@ -116,7 +116,7 @@ impl Timeline {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "timeline capacity must be nonzero");
         Timeline {
             spans: Vec::new(),
@@ -128,9 +128,7 @@ impl Timeline {
         }
     }
 
-    /// A timeline that records nothing (for hot benchmark paths). It keeps
-    /// the default capacity so a later `set_enabled(true)` behaves like a
-    /// fresh timeline rather than one that drops everything.
+    /// A timeline that records nothing (for hot benchmark paths).
     pub fn disabled() -> Self {
         Timeline {
             enabled: false,
@@ -143,11 +141,6 @@ impl Timeline {
         self.enabled
     }
 
-    /// Turns recording on or off without clearing existing records.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Names a track for display (`"core 0"`); exported as thread-name
     /// metadata so Perfetto shows labelled lanes.
     pub fn set_track_name(&mut self, track: TrackId, name: impl Into<String>) {
@@ -155,13 +148,13 @@ impl Timeline {
     }
 
     /// The named tracks, in track order.
-    pub fn track_names(&self) -> impl Iterator<Item = (TrackId, &str)> {
+    pub(crate) fn track_names(&self) -> impl Iterator<Item = (TrackId, &str)> {
         self.track_names
             .iter()
             .map(|(id, name)| (TrackId(*id), name.as_str()))
     }
 
-    /// Opens a span. Returns [`SpanId::DETACHED`] when disabled or full.
+    /// Opens a span. Returns `SpanId::DETACHED` when disabled or full.
     pub fn start(
         &mut self,
         name: &'static str,
@@ -190,7 +183,7 @@ impl Timeline {
         id
     }
 
-    /// Closes a span. No-op for [`SpanId::DETACHED`] or already-closed
+    /// Closes a span. No-op for `SpanId::DETACHED` or already-closed
     /// spans.
     ///
     /// # Panics
@@ -288,23 +281,6 @@ impl Timeline {
         }
         counts
     }
-
-    /// The direct children of `parent`, in id order.
-    pub fn children(&self, parent: SpanId) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.parent == Some(parent))
-    }
-
-    /// The root spans (no parent), in id order.
-    pub fn roots(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(|s| s.parent.is_none())
-    }
-
-    /// Clears all records and the dropped counter.
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        self.instants.clear();
-        self.dropped = 0;
-    }
 }
 
 impl Default for Timeline {
@@ -346,8 +322,13 @@ mod tests {
         tl.end(root, SimTime::from_nanos(25));
         assert_eq!(tl.len(), 3);
         assert_eq!(tl.open_count(), 0);
-        assert_eq!(tl.roots().count(), 1);
-        let kids: Vec<_> = tl.children(root).map(|s| s.id).collect();
+        assert_eq!(tl.spans().iter().filter(|s| s.parent.is_none()).count(), 1);
+        let kids: Vec<_> = tl
+            .spans()
+            .iter()
+            .filter(|s| s.parent == Some(root))
+            .map(|s| s.id)
+            .collect();
         assert_eq!(kids, vec![a, b]);
         assert_eq!(tl.spans()[b.index()].detail, "area=14");
     }
@@ -362,7 +343,7 @@ mod tests {
         assert!(tl.is_empty());
         assert_eq!(tl.dropped(), 0);
         // Re-enabling behaves like a fresh timeline.
-        tl.set_enabled(true);
+        tl.enabled = true;
         for i in 0..100 {
             tl.start("s", TrackId(0), SimTime::from_nanos(i), None, "");
         }

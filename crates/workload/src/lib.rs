@@ -14,7 +14,7 @@
 //! cache sensitivity. A workload's score is effective seconds × its nominal
 //! operation rate, and the Figure 7 bar is `1 − score_on / score_off`.
 
-pub mod report;
+pub(crate) mod report;
 pub mod runner;
 pub mod suite;
 

@@ -1,7 +1,7 @@
 //! The campaign daemon over a real Unix socket, with a stub backend (no
-//! simulation): ping, a cold then a warm submit, three hostile clients
-//! each followed by a ping, a client that stops reading, and a clean
-//! shutdown.
+//! simulation): ping, a cold then a warm submit, a job whose backend
+//! panics, three hostile clients each followed by a ping, a client that
+//! stops reading, and a clean shutdown.
 
 use satin::scenario::Scenario;
 use satin::serve::daemon::MAX_REQUEST_BYTES;
@@ -16,8 +16,16 @@ use std::time::Duration;
 /// The seed whose cell streams more event lines than a socket buffers.
 const FLOOD_SEED: u64 = 1_000;
 
-/// Seed-derived records. Only [`FLOOD_SEED`] emits campaign events.
+/// The seed whose cell panics the backend.
+const PANIC_SEED: u64 = 666;
+
+/// Seed-derived records. Only [`FLOOD_SEED`] emits campaign events, and
+/// [`PANIC_SEED`] panics.
 fn stub_backend(_: &Scenario, seeds: &[u64]) -> (Vec<CellRecord>, EventStream) {
+    assert!(
+        !seeds.contains(&PANIC_SEED),
+        "stub backend panics on seed {PANIC_SEED}"
+    );
     let mut stream = EventStream::new();
     if seeds.contains(&FLOOD_SEED) {
         for _ in 0..20_000 {
@@ -109,6 +117,17 @@ fn daemon_round_trip_survives_hostile_clients() {
         );
         // job.accepted + job.finished, plus one job.cache_hit when warm.
         assert_eq!((cold.events, warm.events), (2, 3));
+
+        // A panicking backend costs its job a done error, not the daemon.
+        // Nothing is stored, so a resubmit panics again.
+        for _ in 0..2 {
+            let err = submit(&socket, &scenario, &[PANIC_SEED], |_| {})
+                .expect_err("a panicking job must fail");
+            assert!(err.contains("panicked"), "{err}");
+            ping(&socket).expect("ping after a panicking job");
+        }
+        let after = submit(&socket, &scenario, &[7, 8], |_| {}).expect("submit after a panic");
+        assert_eq!((after.hits, after.fresh), (1, 1));
 
         // A client that never finishes its line is cut off at the deadline.
         assert_done_error(&raw_request(&socket, br#"{"op":"ping""#), "no request line");
