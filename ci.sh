@@ -161,16 +161,20 @@ SERVE_DIR="$(mktemp -d /tmp/satin_serve.XXXXXX)"
 trap 'rm -f "$TRACE_JSON" "$METRICS_JSON" "$DEFAULT_OUT" "$SCENARIO_OUT" "$FAULTS_1" "$FAULTS_4" "$EVENTS_1" "$EVENTS_4"; rm -rf "$SERVE_DIR"' EXIT INT TERM
 SERVE_SOCK="$SERVE_DIR/daemon.sock"
 SERVE_STORE="$SERVE_DIR/results.jsonl"
-./target/release/repro serve --socket "$SERVE_SOCK" --store "$SERVE_STORE" \
-    2> "$SERVE_DIR/daemon.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-    if ./target/release/repro ping --socket "$SERVE_SOCK" 2> /dev/null; then
-        break
-    fi
-    sleep 0.1
-done
-./target/release/repro ping --socket "$SERVE_SOCK"
+# Starts the daemon from executable $1 on the store, waits until it answers.
+start_daemon() {
+    "$1" serve --socket "$SERVE_SOCK" --store "$SERVE_STORE" \
+        2>> "$SERVE_DIR/daemon.log" &
+    SERVE_PID=$!
+    for _ in $(seq 1 100); do
+        if "$1" ping --socket "$SERVE_SOCK" 2> /dev/null; then
+            break
+        fi
+        sleep 0.1
+    done
+    "$1" ping --socket "$SERVE_SOCK"
+}
+start_daemon ./target/release/repro
 ./target/release/repro submit --socket "$SERVE_SOCK" --faults smoke --seeds 7,42 \
     > "$SERVE_DIR/cold.txt" 2> "$SERVE_DIR/cold.err"
 ./target/release/repro submit --socket "$SERVE_SOCK" --faults smoke --seeds 7,42 \
@@ -186,7 +190,22 @@ grep -q '2 cache hit(s), 0 fresh' "$SERVE_DIR/warm.err"  # warm run did not
 wait "$SERVE_PID"
 test ! -e "$SERVE_SOCK"    # clean shutdown removes the socket file
 test -s "$SERVE_STORE"     # the store segment persisted the cells
-echo "campaign service OK: warm submit byte-identical, all cells cache hits, clean shutdown"
+# A changed executable never replays: the cache's code coordinate hashes the
+# running executable, so a copy of repro with one byte appended (an ELF
+# loader ignores trailing bytes) must simulate every cell again on the same
+# store, and still print the cold run's bytes.
+cp ./target/release/repro "$SERVE_DIR/repro"
+printf 'x' >> "$SERVE_DIR/repro"
+start_daemon "$SERVE_DIR/repro"
+"$SERVE_DIR/repro" submit --socket "$SERVE_SOCK" --faults smoke --seeds 7,42 \
+    > "$SERVE_DIR/changed.txt" 2> "$SERVE_DIR/changed.err"
+cmp "$SERVE_DIR/cold.txt" "$SERVE_DIR/changed.txt"
+grep -q '0 cache hit(s), 2 fresh' "$SERVE_DIR/changed.err"  # no stale replay
+"$SERVE_DIR/repro" shutdown --socket "$SERVE_SOCK"
+wait "$SERVE_PID"
+test ! -e "$SERVE_SOCK"
+echo "campaign service OK: warm submit byte-identical, all cells cache hits, clean shutdown;"
+echo "  a changed executable on the same store re-simulated every cell"
 
 echo "== analysis invariants (seeds 7 42 1009) =="
 # Happens-before race detection plus the Eq.1/Eq.2 audit; repro exits

@@ -21,8 +21,6 @@ pub struct TzEvaderConfig {
     pub recovery_core: CoreId,
     /// Rootkit behaviour.
     pub rootkit: RootkitConfig,
-    /// When the attack goes live.
-    pub start: SimTime,
 }
 
 impl TzEvaderConfig {
@@ -41,7 +39,6 @@ impl TzEvaderConfig {
             prober_config: ProberConfig::from_profile(profile),
             recovery_core: CoreId::new(profile.recovery_core),
             rootkit: RootkitConfig::default(),
-            start: SimTime::ZERO,
         }
     }
 }
@@ -58,7 +55,7 @@ pub struct TzEvader {
 }
 
 impl TzEvader {
-    /// Deploys TZ-Evader onto `sys`.
+    /// Deploys TZ-Evader onto `sys`, live from time zero.
     pub fn deploy(sys: &mut System, config: TzEvaderConfig) -> TzEvader {
         let channel = EvaderChannel::new();
         let prober = ProberShared::with_channel(channel.clone());
@@ -67,14 +64,14 @@ impl TzEvader {
             config.prober,
             config.prober_config,
             &prober,
-            config.start,
+            SimTime::ZERO,
         );
         let (_, rootkit) = deploy_rootkit(
             sys,
             config.recovery_core,
             config.rootkit,
             &channel,
-            config.start,
+            SimTime::ZERO,
         );
         TzEvader {
             channel,

@@ -103,8 +103,7 @@ pub fn deploy_kprober_i(
     // threshold must absorb the tick period or it would misfire on every
     // comparison (the paper's prototype pairs a KProber-I reporter with a
     // KProber-II comparer for exactly this reason, §IV-A1).
-    let tick = sys.sched().config().tick_period();
-    config.threshold = config.threshold.map(|t| t + tick);
+    config.threshold = config.threshold.map(|t| t + satin_kernel::TICK_PERIOD);
 
     // Hijack the timer IRQ vector entry: a setup task exploits the AP bits
     // and overwrites the entry with redirect code.

@@ -1,11 +1,11 @@
 //! The persistent kernel rootkit: GETTID syscall-table hijack with trace
 //! recovery (§IV-A2).
 //!
-//! The attack modifies one 8-byte entry of the system call table. It is an
-//! Advanced Persistent Threat (§III-A): while no introspection is suspected
-//! it stays in the attacking phase; when the prober raises the hide signal it
-//! spends `Tns_recover` cleaning (restoring the genuine pointer), and once
-//! the coast is clear it re-installs the hijack.
+//! The attack modifies one 8-byte entry of the system call table, GETTID's.
+//! It is an Advanced Persistent Threat (§III-A): while no introspection is
+//! suspected it stays in the attacking phase; when the prober raises the
+//! hide signal it spends `Tns_recover` cleaning (restoring the genuine
+//! pointer), and once the coast is clear it re-installs the hijack.
 
 use crate::channel::EvaderChannel;
 use satin_hw::CoreId;
@@ -16,18 +16,14 @@ use satin_system::{RunCtx, RunOutcome, System, ThreadBody};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Polling cadence of the recovery threads.
+const POLL: SimDuration = SimDuration::from_micros(50);
+
 /// Rootkit configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RootkitConfig {
-    /// Syscall entry to hijack (GETTID in the paper).
-    pub syscall_nr: u64,
-    /// Polling cadence of the recovery thread.
-    pub poll: SimDuration,
     /// Quiet time after the last detection before re-installing.
     pub quiet_before_reinstall: SimDuration,
-    /// Whether to re-install after hiding (APT behaviour). Disable to study
-    /// a single hide race in isolation.
-    pub auto_reinstall: bool,
     /// Spawn a recovery helper on every core (a kernel module reacts from
     /// whichever core is still running — crucial when the introspection
     /// happens to land on the leader's own core and freezes it). Disable to
@@ -38,10 +34,7 @@ pub struct RootkitConfig {
 impl Default for RootkitConfig {
     fn default() -> Self {
         RootkitConfig {
-            syscall_nr: GETTID_NR,
-            poll: SimDuration::from_micros(50),
             quiet_before_reinstall: SimDuration::from_millis(20),
-            auto_reinstall: true,
             multi_core_recovery: true,
         }
     }
@@ -160,7 +153,7 @@ impl RootkitBody {
     }
 
     fn install(&mut self, ctx: &mut RunCtx<'_>) {
-        let addr = ctx.layout().syscall_entry_addr(self.config.syscall_nr);
+        let addr = ctx.layout().syscall_entry_addr(GETTID_NR);
         // Undo any synchronous-introspection page protection first (§VII-A).
         ctx.exploit_ap_bits(addr);
         let evil = satin_mem::image::hijacked_entry_bytes(ctx.layout(), 0xE711_u64);
@@ -176,12 +169,12 @@ impl RootkitBody {
         ctx.mark_args(MarkTag::AttackInstall, addr.value(), 0);
         ctx.trace(
             TraceCategory::AttackInstall,
-            format!("hijacked syscall {}", self.config.syscall_nr),
+            format!("hijacked syscall {GETTID_NR}"),
         );
     }
 
     fn restore(&mut self, ctx: &mut RunCtx<'_>) {
-        let addr = ctx.layout().syscall_entry_addr(self.config.syscall_nr);
+        let addr = ctx.layout().syscall_entry_addr(GETTID_NR);
         let genuine = self
             .handle
             .inner
@@ -238,27 +231,23 @@ impl ThreadBody for RootkitBody {
             Phase::NotInstalled => {
                 self.install(ctx);
                 self.phase = Phase::Active;
-                RunOutcome::sleep_aligned(SimDuration::from_micros(5), self.config.poll)
+                RunOutcome::sleep_aligned(SimDuration::from_micros(5), POLL)
             }
             Phase::Active => {
                 if !self.handle.is_active() {
                     // Another thread already recovered this hide.
                     self.phase = Phase::Hidden;
-                    return RunOutcome::sleep_aligned(
-                        SimDuration::from_micros(2),
-                        self.config.poll,
-                    );
+                    return RunOutcome::sleep_aligned(SimDuration::from_micros(2), POLL);
                 }
-                self.try_claim_recovery(ctx).unwrap_or_else(|| {
-                    RunOutcome::sleep_aligned(SimDuration::from_micros(2), self.config.poll)
-                })
+                self.try_claim_recovery(ctx)
+                    .unwrap_or_else(|| RunOutcome::sleep_aligned(SimDuration::from_micros(2), POLL))
             }
             Phase::Recovering => {
                 self.restore(ctx);
                 self.handle.inner.borrow_mut().recovery_in_progress = false;
                 self.channel.hide_completed();
                 self.phase = Phase::Hidden;
-                RunOutcome::sleep_aligned(SimDuration::from_micros(2), self.config.poll)
+                RunOutcome::sleep_aligned(SimDuration::from_micros(2), POLL)
             }
             Phase::Hidden => {
                 // Helpers may claim a recovery from here too (the hijack can
@@ -267,7 +256,6 @@ impl ThreadBody for RootkitBody {
                     return out;
                 }
                 if self.role == RootkitRole::Leader
-                    && self.config.auto_reinstall
                     && !self.handle.is_active()
                     && self
                         .channel
@@ -278,7 +266,7 @@ impl ThreadBody for RootkitBody {
                     self.channel.record_reinstall();
                     self.phase = Phase::Active;
                 }
-                RunOutcome::sleep_aligned(SimDuration::from_micros(2), self.config.poll)
+                RunOutcome::sleep_aligned(SimDuration::from_micros(2), POLL)
             }
         }
     }
@@ -361,7 +349,6 @@ mod tests {
         let mut s = sys();
         let ch = EvaderChannel::new();
         let cfg = RootkitConfig {
-            auto_reinstall: false,
             // Pin recovery to the A53 leader so the latency is per-kind.
             multi_core_recovery: false,
             ..RootkitConfig::default()
@@ -372,7 +359,8 @@ mod tests {
         // The prober "detects" an introspection at t=5ms.
         let detect_at = s.now();
         ch.report_detection(detect_at, CoreId::new(0), SimDuration::from_millis(2));
-        s.run_until(SimTime::from_millis(30));
+        // Stop before the reinstall window opens at detection + 20 ms.
+        s.run_until(SimTime::from_millis(20));
         assert_eq!(handle.inner.borrow().restores, 1);
         assert!(!handle.is_active());
         // Restore happened ≈ Tns_recover (A53 ≈ 5.2–6.13 ms) after detection,
@@ -414,16 +402,19 @@ mod tests {
     fn active_time_accumulates() {
         let mut s = sys();
         let ch = EvaderChannel::new();
-        let cfg = RootkitConfig {
-            auto_reinstall: false,
-            ..RootkitConfig::default()
-        };
-        let (_, handle) = deploy_rootkit(&mut s, CoreId::new(3), cfg, &ch, SimTime::ZERO);
+        let (_, handle) = deploy_rootkit(
+            &mut s,
+            CoreId::new(3),
+            RootkitConfig::default(),
+            &ch,
+            SimTime::ZERO,
+        );
         s.run_until(SimTime::from_millis(10));
         let t1 = handle.active_time(s.now());
         assert!(t1 > SimDuration::from_millis(9));
         ch.report_detection(s.now(), CoreId::new(1), SimDuration::ZERO);
-        s.run_until(SimTime::from_millis(40));
+        // Stop before the reinstall window opens at detection + 20 ms.
+        s.run_until(SimTime::from_millis(28));
         let t2 = handle.active_time(s.now());
         // Active time stops growing once hidden.
         assert!(t2 < SimDuration::from_millis(17), "active {t2}");

@@ -13,7 +13,8 @@ use satin_attack::{TzEvader, TzEvaderConfig};
 use satin_core::baseline::{BaselineConfig, NaiveIntrospection};
 use satin_core::satin::{build_plan, AreaPolicy};
 use satin_core::SatinConfig;
-use satin_hw::CoreId;
+use satin_hw::{CoreId, CoreKind, RoutingKind};
+use satin_scenario::Scenario;
 use satin_sim::{SimDuration, SimTime};
 use satin_system::{System, SystemBuilder};
 
@@ -181,25 +182,16 @@ pub fn preemption_ablation(
     seed: u64,
 ) -> (DefenseOutcome, DefenseOutcome) {
     let run = |preemptive: bool, seed: u64| {
-        let (routing, defense) = if preemptive {
-            (
-                satin_hw::RoutingKind::Preemptive,
-                format!("preemptive secure world (irq load {interrupt_load})"),
-            )
+        let mut scenario = Scenario::paper();
+        let defense = if preemptive {
+            scenario.platform.routing = RoutingKind::Preemptive;
+            format!("preemptive secure world (irq load {interrupt_load})")
         } else {
-            (
-                satin_hw::RoutingKind::Satin,
-                "non-preemptive (SATIN's SCR_EL3.IRQ=0)".to_string(),
-            )
+            "non-preemptive (SATIN's SCR_EL3.IRQ=0)".to_string()
         };
-        let platform = satin_hw::Platform::new(
-            satin_hw::Topology::juno_r1(),
-            satin_hw::TimingModel::paper_calibrated(),
-            routing,
-        );
         let mut sys = SystemBuilder::new()
             .seed(seed)
-            .platform(platform)
+            .scenario(&scenario)
             .trace(false)
             .build();
         sys.set_ns_interrupt_load(interrupt_load);
@@ -227,14 +219,11 @@ pub fn core_count_sweep(
     core_counts
         .iter()
         .map(|&n| {
-            let platform = satin_hw::Platform::new(
-                satin_hw::Topology::homogeneous(satin_hw::CoreKind::A53, n),
-                satin_hw::TimingModel::paper_calibrated(),
-                satin_hw::RoutingKind::Satin,
-            );
+            let mut scenario = Scenario::paper();
+            scenario.platform.cores = vec![CoreKind::A53; n];
             let sys = SystemBuilder::new()
                 .seed(seed.wrapping_add(n as u64))
-                .platform(platform)
+                .scenario(&scenario)
                 .trace(false)
                 .build();
             let mut evader_cfg = TzEvaderConfig::paper_default();

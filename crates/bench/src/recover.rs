@@ -46,7 +46,6 @@ pub fn measure(scenario: &Scenario, kind: CoreKind, rounds: usize, seed: u64) ->
         quiet_before_reinstall: SimDuration::from_millis(5),
         // Pin recovery to the measured core so the sample is per-kind.
         multi_core_recovery: false,
-        ..RootkitConfig::default()
     };
     let (_, handle) = deploy_rootkit(&mut sys, core, config, &channel, SimTime::ZERO);
     let mut samples = Vec::with_capacity(rounds);

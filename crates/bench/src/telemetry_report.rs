@@ -320,10 +320,6 @@ mod tests {
         assert!(json.contains("secure.session"));
         let again = run_traced_race_scenario(&Scenario::paper(), 42, SimDuration::from_secs(5));
         assert_eq!(json, again.chrome_trace());
-        assert_eq!(
-            satin_telemetry::jsonl_events(&race.timeline),
-            satin_telemetry::jsonl_events(&again.timeline)
-        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The assembled hardware platform.
 
-use crate::gic::{Gic, RoutingKind};
+use crate::gic::Gic;
 use crate::monitor::SecureMonitor;
+use crate::profile::PlatformSpec;
 use crate::timers::SecureTimer;
 use crate::timing::TimingModel;
 use crate::topology::{CoreId, CoreKind, Topology};
@@ -38,17 +39,22 @@ impl Platform {
     /// `Platform::from_profile(&PlatformSpec::juno_r1())` — the built-in
     /// profile is the single source of truth for this platform.
     pub fn juno_r1() -> Self {
-        Self::from_profile(&crate::profile::PlatformSpec::juno_r1())
+        Self::from_profile(&PlatformSpec::juno_r1())
     }
 
-    /// A custom platform.
-    pub fn new(topology: Topology, timing: TimingModel, routing: RoutingKind) -> Self {
+    /// Assembles a platform from its declarative spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec declares no cores.
+    pub fn from_profile(spec: &PlatformSpec) -> Self {
+        let topology = spec.topology();
         let n = topology.num_cores();
         Platform {
             topology,
-            timing,
+            timing: spec.timing_model(),
             monitor: SecureMonitor::new(n),
-            gic: Gic::new(routing),
+            gic: Gic::new(spec.routing),
             secure_timers: vec![SecureTimer::new(); n],
         }
     }

@@ -1,9 +1,10 @@
-//! Declarative platform profiles: the data form of a [`Platform`].
+//! Declarative platform profiles: the data form of a [`Platform`](crate::Platform).
 //!
 //! The paper evaluates SATIN on exactly one machine — an ARM Juno r1. A
 //! [`PlatformSpec`] is that board as data: a named topology plus the
-//! per-core-kind timing calibration, from which [`Platform::from_profile`]
-//! assembles the simulated hardware. [`PlatformSpec::juno_r1`] is the one
+//! per-core-kind timing calibration, from which
+//! [`Platform::from_profile`](crate::Platform::from_profile) assembles the
+//! simulated hardware. [`PlatformSpec::juno_r1`] is the one
 //! place the paper's silicon numbers are written; `Platform::juno_r1`,
 //! `Topology::juno_r1` and `TimingModel::paper_calibrated` are built from
 //! it. Related work shows both why this
@@ -32,11 +33,11 @@
 use crate::gic::RoutingKind;
 use crate::timing::{CoreCalibration, TimingModel, TriSpec};
 use crate::topology::{CoreKind, Topology};
-use crate::Platform;
 use satin_sim::dist::UniformSecs;
 
-/// The declarative form of a [`Platform`]: a named topology plus timing
-/// calibration. Everything the hardware layer needs, as plain data.
+/// The declarative form of a [`Platform`](crate::Platform): a named
+/// topology plus timing calibration. Everything the hardware layer needs,
+/// as plain data.
 ///
 /// Fields the spec does not cover (dispatch jitters, publication delay,
 /// cache-pollution model) come from `TimingModel::new`: they model the
@@ -156,21 +157,11 @@ impl PlatformSpec {
     }
 }
 
-impl Platform {
-    /// Assembles a platform from its declarative spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec declares no cores.
-    pub fn from_profile(spec: &PlatformSpec) -> Self {
-        Platform::new(spec.topology(), spec.timing_model(), spec.routing)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::CoreId;
+    use crate::Platform;
 
     #[test]
     fn nth_core_of_kind_picks_in_id_order() {

@@ -157,8 +157,10 @@ pub struct CoreCalibration {
 
 /// The complete calibrated timing model for the simulated platform.
 ///
-/// Fields are public: this is a passive parameter bundle that experiments
-/// (especially ablations) are expected to tweak.
+/// Fields are public so the machine and experiment code can read the
+/// calibration. A run builds its model once, from a platform spec
+/// (`PlatformSpec::timing_model`), and no experiment changes a field
+/// afterwards: a different calibration is a different spec.
 #[derive(Debug, Clone)]
 pub struct TimingModel {
     /// World-switch cost `Ts_switch` (§IV-B1).

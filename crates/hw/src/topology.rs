@@ -113,19 +113,6 @@ impl Topology {
         Topology { kinds }
     }
 
-    /// A homogeneous topology of `n` cores of one kind (for unit tests and
-    /// single-core baseline experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn homogeneous(kind: CoreKind, n: usize) -> Self {
-        assert!(n > 0, "topology needs at least one core");
-        Topology {
-            kinds: vec![kind; n],
-        }
-    }
-
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.kinds.len()
@@ -181,7 +168,7 @@ mod tests {
 
     #[test]
     fn homogeneous_topology() {
-        let t = Topology::homogeneous(CoreKind::A53, 4);
+        let t = Topology::new(vec![CoreKind::A53; 4]);
         assert_eq!(t.num_cores(), 4);
         assert!(t.cores().all(|c| t.kind(c) == CoreKind::A53));
         assert_eq!(t.cores_of_kind(CoreKind::A57).count(), 0);

@@ -12,6 +12,8 @@
 //! - [`runqueue`] / `scheduler`: per-core runqueues with an RT FIFO class
 //!   that always beats the CFS class, affinity-respecting wake placement,
 //!   and vruntime-ordered CFS picks;
+//! - `config`: the lsk-4.4 kernel's build-time constants (the tick
+//!   period, the CFS latency and granularity);
 //! - [`tick`]: periodic scheduler ticks at `HZ` with `CONFIG_NO_HZ_IDLE`
 //!   semantics (the tick stops on idle cores — which is why KProber-I keeps
 //!   a spinner on every core, §III-C1);
@@ -27,6 +29,6 @@ pub mod tick;
 pub mod vector;
 pub mod weight;
 
-pub use config::KernelConfig;
+pub use config::TICK_PERIOD;
 pub use scheduler::Scheduler;
 pub use task::{Affinity, SchedClass, Task, TaskId, TaskState};

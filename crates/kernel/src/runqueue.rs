@@ -91,30 +91,9 @@ impl CoreRunQueue {
             .or_else(|| self.cfs.last().map(|&(_, t)| t))
     }
 
-    /// The priority of the best queued RT task, if any.
-    #[cfg(test)]
-    pub(crate) fn best_rt_priority(&self) -> Option<u8> {
-        self.rt.last().map(|&((inv, _), _)| 99 - inv)
-    }
-
     /// `true` if `task` is queued here.
     pub(crate) fn contains(&self, task: TaskId) -> bool {
         self.rt.iter().any(|&(_, t)| t == task) || self.cfs.iter().any(|&(_, t)| t == task)
-    }
-
-    /// Removes a specific task from whichever queue holds it.
-    /// Returns `true` if it was queued.
-    #[cfg(test)]
-    pub(crate) fn remove(&mut self, task: TaskId) -> bool {
-        if let Some(i) = self.rt.iter().position(|&(_, t)| t == task) {
-            self.rt.remove(i);
-            return true;
-        }
-        if let Some(i) = self.cfs.iter().position(|&(_, t)| t == task) {
-            self.cfs.remove(i);
-            return true;
-        }
-        false
     }
 
     /// Number of queued (runnable, not running) tasks.
@@ -146,7 +125,6 @@ mod tests {
         rq.enqueue_rt(10, TaskId::new(1));
         rq.enqueue_rt(99, TaskId::new(2));
         rq.enqueue_rt(50, TaskId::new(3));
-        assert_eq!(rq.best_rt_priority(), Some(99));
         assert_eq!(rq.pick_next(), Some(TaskId::new(2)));
         assert_eq!(rq.pick_next(), Some(TaskId::new(3)));
         assert_eq!(rq.pick_next(), Some(TaskId::new(1)));
@@ -183,17 +161,6 @@ mod tests {
         assert_eq!(rq.min_vruntime(), 500);
         rq.advance_min_vruntime(300); // cannot regress
         assert_eq!(rq.min_vruntime(), 500);
-    }
-
-    #[test]
-    fn remove_from_either_queue() {
-        let mut rq = CoreRunQueue::new();
-        rq.enqueue_rt(10, TaskId::new(1));
-        rq.enqueue_cfs(5, TaskId::new(2));
-        assert!(rq.remove(TaskId::new(2)));
-        assert!(rq.remove(TaskId::new(1)));
-        assert!(!rq.remove(TaskId::new(3)));
-        assert_eq!(rq.len(), 0);
     }
 
     #[test]
@@ -256,21 +223,6 @@ mod tests {
             self.rt.values().next().copied().or(cfs)
         }
 
-        fn best_rt_priority(&self) -> Option<u8> {
-            self.rt.keys().next().map(|(inv, _)| 99 - inv)
-        }
-
-        fn remove(&mut self, task: TaskId) -> bool {
-            if let Some(key) = self.rt.iter().find(|(_, t)| **t == task).map(|(k, _)| *k) {
-                self.rt.remove(&key);
-                return true;
-            }
-            if let Some(key) = self.cfs.iter().find(|(_, t)| *t == task).copied() {
-                return self.cfs.remove(&key);
-            }
-            false
-        }
-
         fn queued(&self, task: TaskId) -> bool {
             self.rt.values().any(|t| *t == task) || self.cfs.iter().any(|(_, t)| *t == task)
         }
@@ -279,11 +231,11 @@ mod tests {
     proptest! {
         /// Any interleaving of runqueue operations gives the same answers
         /// as the tree-map model. Task ids come from a pool of 8 and
-        /// vruntimes from a narrow range, so ties on vruntime, re-enqueues
-        /// after a pick and removes of absent tasks all occur.
+        /// vruntimes from a narrow range, so ties on vruntime and
+        /// re-enqueues after a pick occur.
         #[test]
         fn prop_matches_the_tree_model(
-            ops in proptest::collection::vec((0u8..6, 1u8..=99, 0u64..16, 0u64..8), 0..200),
+            ops in proptest::collection::vec((0u8..5, 1u8..=99, 0u64..16, 0u64..8), 0..200),
         ) {
             let mut rq = CoreRunQueue::new();
             let mut model = TreeModel::default();
@@ -300,15 +252,13 @@ mod tests {
                         model.enqueue_cfs(vruntime, task);
                     }
                     2 => prop_assert_eq!(rq.pick_next(), model.pick_next()),
-                    3 => prop_assert_eq!(rq.remove(task), model.remove(task)),
-                    4 => {
+                    3 => {
                         rq.advance_min_vruntime(vruntime);
                         model.min_vruntime = model.min_vruntime.max(vruntime);
                     }
                     _ => {}
                 }
                 prop_assert_eq!(rq.peek_next(), model.peek_next());
-                prop_assert_eq!(rq.best_rt_priority(), model.best_rt_priority());
                 prop_assert_eq!(rq.rt.len(), model.rt.len());
                 prop_assert_eq!(rq.cfs.len(), model.cfs.len());
                 prop_assert_eq!(rq.len(), model.rt.len() + model.cfs.len());
@@ -354,7 +304,8 @@ mod tests {
             }
             let mut last = 100u8;
             while !rq.rt.is_empty() {
-                let best = rq.best_rt_priority().unwrap();
+                let ((inverted, _), _) = *rq.rt.last().unwrap();
+                let best = 99 - inverted;
                 prop_assert!(best <= last);
                 last = best;
                 rq.pick_next();

@@ -1,6 +1,6 @@
 //! The cross-core scheduler: task table, wake placement, preemption policy.
 
-use crate::config::KernelConfig;
+use crate::config::cfs_timeslice;
 use crate::runqueue::CoreRunQueue;
 use crate::task::{Affinity, SchedClass, Task, TaskId, TaskState};
 use crate::weight;
@@ -22,10 +22,10 @@ use satin_sim::SimDuration;
 /// # Example
 ///
 /// ```
-/// use satin_kernel::{Scheduler, SchedClass, Affinity, KernelConfig};
+/// use satin_kernel::{Scheduler, SchedClass, Affinity};
 /// use satin_hw::CoreId;
 ///
-/// let mut s = Scheduler::new(2, KernelConfig::lsk_4_4());
+/// let mut s = Scheduler::new(2);
 /// let t = s.spawn("worker", SchedClass::cfs(), Affinity::any(2));
 /// let core = s.wake(t).unwrap();
 /// assert!(core.index() < 2);
@@ -39,7 +39,6 @@ pub struct Scheduler {
     tasks: Vec<Task>,
     queues: Vec<CoreRunQueue>,
     current: Vec<Option<TaskId>>,
-    config: KernelConfig,
 }
 
 impl Scheduler {
@@ -48,20 +47,13 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `num_cores == 0`.
-    pub fn new(num_cores: usize, config: KernelConfig) -> Self {
+    pub fn new(num_cores: usize) -> Self {
         assert!(num_cores > 0, "scheduler needs at least one core");
-        config.validate();
         Scheduler {
             tasks: Vec::new(),
             queues: vec![CoreRunQueue::new(); num_cores],
             current: vec![None; num_cores],
-            config,
         }
-    }
-
-    /// The kernel configuration.
-    pub fn config(&self) -> &KernelConfig {
-        &self.config
     }
 
     /// Creates a task (initially [`TaskState::Blocked`]; wake it to run).
@@ -112,7 +104,7 @@ impl Scheduler {
 
     /// CFS timeslice for the current contention on `core`.
     pub fn timeslice(&self, core: CoreId) -> SimDuration {
-        self.config.cfs_timeslice(self.load(core))
+        cfs_timeslice(self.load(core))
     }
 
     /// Wakes `tid`: places it on a runqueue and returns the chosen core.
@@ -231,17 +223,6 @@ impl Scheduler {
         }
     }
 
-    /// Forcibly removes a queued task (e.g. on exit while runnable).
-    /// Returns `true` if it was queued somewhere.
-    #[cfg(test)]
-    pub(crate) fn dequeue(&mut self, tid: TaskId) -> bool {
-        let found = self.queues.iter_mut().any(|q| q.remove(tid));
-        if found {
-            self.task_mut(tid).set_state(TaskState::Blocked);
-        }
-        found
-    }
-
     fn enqueue(&mut self, core: CoreId, tid: TaskId) {
         debug_assert!(
             !self.queues.iter().any(|q| q.contains(tid)),
@@ -285,7 +266,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn sched(cores: usize) -> Scheduler {
-        Scheduler::new(cores, KernelConfig::lsk_4_4())
+        Scheduler::new(cores)
     }
 
     #[test]
@@ -428,16 +409,6 @@ mod tests {
         s.wake(b);
         s.start_running(CoreId::new(0), a);
         s.start_running(CoreId::new(0), b);
-    }
-
-    #[test]
-    fn dequeue_removes_queued_task() {
-        let mut s = sched(1);
-        let t = s.spawn("t", SchedClass::cfs(), Affinity::any(1));
-        s.wake(t);
-        assert!(s.dequeue(t));
-        assert!(!s.dequeue(t));
-        assert_eq!(s.queue_len(CoreId::new(0)), 0);
     }
 
     proptest! {

@@ -11,15 +11,9 @@
 //! KProber-I easier to detect than KProber-II (§III-C1).
 
 use satin_mem::{KernelLayout, MemRange, PhysAddr};
-#[cfg(test)]
-use satin_mem::{MemError, PhysMemory};
 
 /// Size of one vector table entry (0x80 bytes of instructions).
 pub(crate) const VECTOR_ENTRY_SIZE: u64 = 0x80;
-
-/// Number of entries in the AArch64 table (4 exception types × 4 sources).
-#[cfg(test)]
-pub(crate) const VECTOR_ENTRIES: u64 = 16;
 
 /// The exception vector slots relevant to the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,92 +76,19 @@ impl VectorTable {
             VECTOR_ENTRY_SIZE,
         )
     }
-
-    /// The whole table's range.
-    #[cfg(test)]
-    pub(crate) fn range(&self) -> MemRange {
-        MemRange::new(self.vbar, VECTOR_ENTRIES * VECTOR_ENTRY_SIZE)
-    }
-
-    /// Overwrites a vector entry with redirect code — KProber-I's hijack.
-    /// Returns the replaced bytes so the attacker can restore them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] (including [`MemError::WriteProtected`] if
-    /// the AP bits still protect the page — the attacker must run the
-    /// write-what-where exploit first, §VII-A).
-    #[cfg(test)]
-    pub(crate) fn hijack(
-        &self,
-        mem: &mut PhysMemory,
-        slot: VectorSlot,
-        redirect_code: &[u8],
-    ) -> Result<Vec<u8>, MemError> {
-        assert!(
-            redirect_code.len() as u64 <= VECTOR_ENTRY_SIZE,
-            "redirect code larger than a vector entry"
-        );
-        let range = self.entry_range(slot);
-        let rec = mem.write(range.start(), redirect_code)?;
-        Ok(rec.old)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn setup() -> (KernelLayout, PhysMemory, VectorTable) {
-        let layout = KernelLayout::paper();
-        let mem = PhysMemory::with_image(&layout, 9);
-        let vt = VectorTable::new(&layout).unwrap();
-        (layout, mem, vt)
-    }
-
     #[test]
     fn geometry() {
-        let (layout, _, vt) = setup();
-        assert_eq!(vt.range().len(), 2048);
+        let layout = KernelLayout::paper();
+        let vt = VectorTable::new(&layout).unwrap();
         assert_eq!(vt.vbar, layout.section("vectors").unwrap().range().start());
         let irq = vt.entry_range(VectorSlot::IrqCurrentElSpx);
         assert_eq!(irq.start(), vt.vbar + 6 * 0x80);
-    }
-
-    #[test]
-    fn hijack_and_restore() {
-        let (_, mut mem, vt) = setup();
-        let redirect = vec![0x14u8; 16]; // a branch-looking stub
-        let old = vt
-            .hijack(&mut mem, VectorSlot::IrqCurrentElSpx, &redirect)
-            .unwrap();
-        assert_eq!(old.len(), 16);
-        let now = mem
-            .read(MemRange::new(
-                vt.entry_range(VectorSlot::IrqCurrentElSpx).start(),
-                16,
-            ))
-            .unwrap();
-        assert_eq!(now, &redirect[..]);
-        // Restore.
-        mem.write_unchecked(vt.entry_range(VectorSlot::IrqCurrentElSpx).start(), &old)
-            .unwrap();
-    }
-
-    #[test]
-    fn hijack_respects_write_protection() {
-        let (_, mut mem, vt) = setup();
-        mem.perms_mut().protect(vt.range());
-        let err = vt
-            .hijack(&mut mem, VectorSlot::IrqCurrentElSpx, &[0u8; 8])
-            .unwrap_err();
-        assert!(matches!(err, MemError::WriteProtected { .. }));
-        // After the write-what-where exploit the hijack goes through.
-        mem.perms_mut()
-            .exploit_write_what_where(vt.entry_range(VectorSlot::IrqCurrentElSpx).start());
-        assert!(vt
-            .hijack(&mut mem, VectorSlot::IrqCurrentElSpx, &[0u8; 8])
-            .is_ok());
     }
 
     #[test]
@@ -177,12 +98,5 @@ mod tests {
             &[vec![("only", satin_mem::SectionKind::Text, 4096)]],
         );
         assert!(VectorTable::new(&layout).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "larger than a vector entry")]
-    fn oversized_redirect_rejected() {
-        let (_, mut mem, vt) = setup();
-        let _ = vt.hijack(&mut mem, VectorSlot::IrqLowerEl, &[0u8; 0x81]);
     }
 }

@@ -17,5 +17,5 @@ pub mod measurement;
 pub mod storage;
 pub(crate) mod tsp;
 
-pub use storage::{MeasurementSlots, SecureStorage, SlotWrite};
+pub use storage::SecureStorage;
 pub use tsp::TestSecurePayload;

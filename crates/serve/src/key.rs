@@ -9,35 +9,54 @@
 //! - the **seed**, verbatim;
 //! - the **fault-plan hash**: FNV-1a over the plan's canonical text (the
 //!   empty plan hashes the empty string — stable forever);
-//! - the **code fingerprint**: a hash over the crate version and the
-//!   simulator revision counter below. Bump [`SIM_CODE_REVISION`] in any PR
-//!   that changes observable simulation behaviour and every stale cache
-//!   entry silently becomes a miss — the store is append-only, so old
-//!   entries stay on disk as provenance but are never replayed.
+//! - the **code fingerprint**: a hash over the bytes of the running
+//!   executable, the crate version, the store format and the event schema.
+//!   The executable is the simulator's behaviour, so every rebuild that can
+//!   change a cell's bytes retires the whole cache without anyone having to
+//!   remember to. A rebuild that cannot (a comment edit) retires it too:
+//!   the price is a cold cache, never a stale replay. The store is
+//!   append-only, so old entries stay on disk as provenance but are never
+//!   replayed.
 
 use crate::store::STORE_FORMAT_VERSION;
-use satin_hash::{hash_bytes, HashAlgorithm};
+use satin_hash::{HashAlgorithm, HasherKind};
 use satin_obs::EVENT_SCHEMA_VERSION;
 use satin_scenario::Scenario;
+use std::sync::OnceLock;
 
-/// Manual revision counter over observable simulation behaviour. The build
-/// cannot know which source changes alter results (a comment does not, a
-/// constant might), so the contract is human: any PR that can change a
-/// campaign's outcome for some `(scenario, seed)` must bump this.
-pub const SIM_CODE_REVISION: u32 = 1;
-
-/// The code-identity coordinate of every [`JobKey`] this build produces:
-/// a hash over the workspace version, the store format, the event schema,
-/// and [`SIM_CODE_REVISION`]. Any of those moving retires the whole cache.
+/// The code-identity coordinate of every [`JobKey`] this process produces:
+/// `fingerprint_of` the running executable's bytes, read and hashed once
+/// at the first call.
+///
+/// # Panics
+///
+/// Panics if the running executable cannot be located or read: a cache
+/// keyed by anything weaker could replay cells of another build.
 pub fn code_fingerprint() -> u64 {
+    static CODE: OnceLock<u64> = OnceLock::new();
+    *CODE.get_or_init(|| {
+        let exe = std::env::current_exe().expect("the running executable has a path");
+        let bytes = std::fs::read(&exe).unwrap_or_else(|e| {
+            panic!("cannot read the running executable {}: {e}", exe.display())
+        });
+        fingerprint_of(&bytes)
+    })
+}
+
+/// The code coordinate of an executable with the bytes `exe`: FNV-1a over
+/// the crate version, [`STORE_FORMAT_VERSION`], [`EVENT_SCHEMA_VERSION`]
+/// and `exe`.
+pub(crate) fn fingerprint_of(exe: &[u8]) -> u64 {
     let tag = format!(
-        "satin-serve {} store{} events{} sim{}",
+        "satin-serve {} store{} events{}\n",
         env!("CARGO_PKG_VERSION"),
         STORE_FORMAT_VERSION,
         EVENT_SCHEMA_VERSION,
-        SIM_CODE_REVISION,
     );
-    hash_bytes(HashAlgorithm::Fnv1a, tag.as_bytes())
+    let mut hasher = HasherKind::new(HashAlgorithm::Fnv1a);
+    hasher.update(tag.as_bytes());
+    hasher.update(exe);
+    hasher.finish()
 }
 
 /// The content address of one campaign cell. Ordered so a [`std::collections::BTreeMap`]
@@ -115,5 +134,24 @@ mod tests {
     fn fingerprint_is_stable_within_a_build() {
         assert_eq!(code_fingerprint(), code_fingerprint());
         assert_ne!(code_fingerprint(), 0);
+    }
+
+    fn running_executable() -> Vec<u8> {
+        std::fs::read(std::env::current_exe().expect("exe path")).expect("exe bytes")
+    }
+
+    #[test]
+    fn fingerprint_separates_executables() {
+        assert_ne!(fingerprint_of(b"build a"), fingerprint_of(b"build b"));
+        // One trailing byte, as an ELF loader would ignore, is another build.
+        let exe = running_executable();
+        let mut grown = exe.clone();
+        grown.push(0);
+        assert_ne!(fingerprint_of(&exe), fingerprint_of(&grown));
+    }
+
+    #[test]
+    fn fingerprint_hashes_the_running_executable() {
+        assert_eq!(code_fingerprint(), fingerprint_of(&running_executable()));
     }
 }

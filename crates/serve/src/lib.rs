@@ -2,14 +2,14 @@
 //! Campaign-as-a-service for the SATIN reproduction.
 //!
 //! Every campaign cell in this workspace is a pure function of
-//! `(scenario, seed, fault plan, code revision)` — so its result never needs
+//! `(scenario, seed, fault plan, code)` — so its result never needs
 //! to be computed twice. This crate turns that determinism into a service:
 //!
 //! - [`store`]: an append-only, content-addressed **result store**. Each
 //!   finished cell is one JSONL line keyed by [`JobKey`] — the FNV-1a hashes
 //!   of the scenario text (faults cleared), the fault-plan text, the seed,
-//!   and a [`code_fingerprint`] that changes whenever the simulator's
-//!   observable behaviour may have. Writes are append + flush,
+//!   and a [`code_fingerprint`] of the running executable, which changes
+//!   with every rebuild. Writes are append + flush,
 //!   first-write-wins; reads tolerate exactly one torn trailing line (a
 //!   crash mid-append) and reject any other corruption loudly.
 //! - `service`: the cache-or-compute fold. [`JobService::run_job`] answers
@@ -37,6 +37,6 @@ pub(crate) mod service;
 pub mod store;
 
 pub use daemon::{ping, serve, shutdown, submit, SubmitReply};
-pub use key::{code_fingerprint, JobKey, SIM_CODE_REVISION};
+pub use key::{code_fingerprint, JobKey};
 pub use service::{render_report, JobOutcome, JobService};
 pub use store::{CellRecord, ResultStore};

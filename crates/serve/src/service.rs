@@ -49,7 +49,7 @@ impl JobService {
     }
 
     /// A service with an explicit code fingerprint (tests pin it so a
-    /// version bump cannot silently invalidate their fixtures).
+    /// rebuild cannot silently invalidate their fixtures).
     pub(crate) fn with_code(store: ResultStore, code: u64) -> Self {
         JobService { store, code }
     }

@@ -31,7 +31,6 @@ pub struct Table {
     headers: Vec<String>,
     aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
-    title: Option<String>,
 }
 
 impl Table {
@@ -47,7 +46,6 @@ impl Table {
             headers,
             aligns: vec![Align::Left; n],
             rows: Vec::new(),
-            title: None,
         }
     }
 
@@ -88,10 +86,6 @@ impl Table {
             }
         }
         let mut out = String::new();
-        if let Some(t) = &self.title {
-            out.push_str(t);
-            out.push('\n');
-        }
         let render_row = |cells: &[String], widths: &[usize], aligns: &[Align]| -> String {
             let mut line = String::new();
             for i in 0..cols {
@@ -158,13 +152,6 @@ mod tests {
         // Right-aligned numeric column: "1" should be padded to width 5.
         assert!(lines[2].ends_with("    1"));
         assert!(lines[3].ends_with("12345"));
-    }
-
-    #[test]
-    fn title_rendered_first() {
-        let mut t = sample();
-        t.title = Some("TABLE I".into());
-        assert!(t.render().starts_with("TABLE I\n"));
     }
 
     #[test]

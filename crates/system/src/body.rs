@@ -33,8 +33,6 @@ pub enum Then {
     },
     /// Go back to the runqueue (timeslice-style yield).
     Yield,
-    /// Block until something wakes the task explicitly.
-    Block,
     /// Exit; the task never runs again.
     Exit,
 }
@@ -83,15 +81,6 @@ impl RunOutcome {
         RunOutcome {
             busy,
             then: Then::Yield,
-        }
-    }
-
-    /// Busy for `busy`, then block.
-    #[cfg(test)]
-    pub(crate) fn block_after(busy: SimDuration) -> Self {
-        RunOutcome {
-            busy,
-            then: Then::Block,
         }
     }
 
@@ -285,7 +274,6 @@ mod tests {
             Then::SleepAligned { period: s }
         );
         assert_eq!(RunOutcome::yield_after(d).then, Then::Yield);
-        assert_eq!(RunOutcome::block_after(d).then, Then::Block);
         assert_eq!(RunOutcome::exit_after(d).then, Then::Exit);
         assert_eq!(RunOutcome::exit_after(d).busy, d);
     }

@@ -3,7 +3,6 @@
 use crate::machine::System;
 use satin_faults::FaultInjector;
 use satin_hw::Platform;
-use satin_kernel::KernelConfig;
 use satin_mem::KernelLayout;
 use satin_scenario::{FaultPlan, Scenario};
 use satin_sim::{RngFactory, TraceLog};
@@ -13,8 +12,10 @@ use satin_telemetry::Timeline;
 ///
 /// Defaults reproduce the paper's evaluation platform — the `juno-r1`
 /// scenario profile (Juno r1 with the calibrated timing model), the
-/// 19-segment kernel layout, an lsk-4.4-like kernel configuration, and
-/// tracing enabled. `SystemBuilder::new()` and
+/// 19-segment kernel layout, and tracing enabled. The kernel's tick and
+/// CFS settings are the lsk-4.4 constants of `satin-kernel`, and the
+/// hardware is set only through [`SystemBuilder::scenario`].
+/// `SystemBuilder::new()` and
 /// `SystemBuilder::new().scenario(&Scenario::paper())` build identical
 /// systems.
 ///
@@ -28,7 +29,6 @@ use satin_telemetry::Timeline;
 pub struct SystemBuilder {
     platform: Platform,
     layout: KernelLayout,
-    config: KernelConfig,
     master_seed: u64,
     image_seed: u64,
     trace: bool,
@@ -43,7 +43,6 @@ impl SystemBuilder {
         SystemBuilder {
             platform: Platform::juno_r1(),
             layout: KernelLayout::paper(),
-            config: KernelConfig::lsk_4_4(),
             master_seed: 0x5a71_0001,
             image_seed: 0x1_4ee7,
             trace: true,
@@ -65,27 +64,18 @@ impl SystemBuilder {
         self
     }
 
-    /// Replaces the hardware platform (custom topology/timing/routing).
-    pub fn platform(mut self, platform: Platform) -> Self {
-        self.platform = platform;
-        self
-    }
-
-    /// Applies a scenario: the platform is rebuilt from the scenario's
-    /// profile and the scenario's fault plan (if any) is adopted. The
-    /// attacker and defender are deployed above this crate
-    /// (`TzEvaderConfig::from_profile`, `Satin::new(scenario.defense)`); the
-    /// builder only owns the hardware and the fault injector.
-    pub fn scenario(self, scenario: &Scenario) -> Self {
-        self.platform(Platform::from_profile(&scenario.platform))
-            .fault_plan(scenario.faults)
-    }
-
-    /// Sets the fault-injection plan. An empty (default) plan means a clean
-    /// run; a non-empty plan arms a deterministic [`FaultInjector`] keyed by
-    /// the master seed and the attempt number.
-    pub(crate) fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+    /// Applies a scenario: the platform is built from the scenario's
+    /// profile and the scenario's fault plan is adopted. A custom platform
+    /// is a scenario variant (e.g. `Scenario::paper()` with other
+    /// `platform.cores`). An empty plan means a clean run; a non-empty plan
+    /// arms a deterministic [`FaultInjector`] keyed by the master seed and
+    /// the attempt number. The attacker and defender are deployed above
+    /// this crate (`TzEvaderConfig::from_profile`,
+    /// `Satin::new(scenario.defense)`); the builder only owns the hardware
+    /// and the fault injector.
+    pub fn scenario(mut self, scenario: &Scenario) -> Self {
+        self.platform = Platform::from_profile(&scenario.platform);
+        self.fault_plan = scenario.faults;
         self
     }
 
@@ -134,7 +124,6 @@ impl SystemBuilder {
         System::assemble(
             self.platform,
             self.layout,
-            self.config,
             self.image_seed,
             rngs,
             trace,

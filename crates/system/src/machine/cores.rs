@@ -1,18 +1,16 @@
 //! Per-core state shared by the normal and secure paths, laid out as a
 //! struct-of-arrays.
 //!
-//! The event loop touches exactly one field family per event — `on_tick`
-//! reads tick state, `try_dispatch` reads running/token, the secure exit
-//! sweeps the two pollution arrays machine-wide — so each family lives in
-//! its own dense array indexed by [`CoreId`]. A tick on core 2 then touches
-//! one cache line of tick state instead of striding across full per-core
-//! records, and the machine-wide pollution sweep is two contiguous array
-//! passes (DESIGN.md §13).
+//! The event loop touches few field families per event — `try_dispatch`
+//! reads running/token, the secure exit sweeps the two pollution arrays
+//! machine-wide — so each family lives in its own dense array indexed by
+//! [`CoreId`]. The machine-wide pollution sweep is then two contiguous
+//! array passes instead of a stride across full per-core records
+//! (DESIGN.md §13).
 
 use crate::body::Then;
 use satin_hw::CoreId;
-use satin_kernel::tick::TickState;
-use satin_kernel::{KernelConfig, TaskId};
+use satin_kernel::TaskId;
 use satin_sim::SimTime;
 use satin_telemetry::SpanId;
 
@@ -54,11 +52,10 @@ pub(super) struct CoreStates {
     /// busy machine disturbs more state, which is why the paper's 6-task
     /// overhead exceeds the 1-task overhead).
     pollution_strength: Vec<f64>,
-    tick: Vec<TickState>,
 }
 
 impl CoreStates {
-    pub(super) fn new(n: usize, config: &KernelConfig) -> Self {
+    pub(super) fn new(n: usize) -> Self {
         CoreStates {
             running: vec![None; n],
             next_token: vec![0; n],
@@ -66,7 +63,6 @@ impl CoreStates {
             secure: vec![None; n],
             pollution_until: vec![SimTime::ZERO; n],
             pollution_strength: vec![1.0; n],
-            tick: (0..n).map(|_| TickState::new(config)).collect(),
         }
     }
 
@@ -128,13 +124,5 @@ impl CoreStates {
         for s in &mut self.pollution_strength {
             *s = strength;
         }
-    }
-
-    pub(super) fn tick(&self, core: CoreId) -> &TickState {
-        &self.tick[core.index()]
-    }
-
-    pub(super) fn tick_mut(&mut self, core: CoreId) -> &mut TickState {
-        &mut self.tick[core.index()]
     }
 }

@@ -35,7 +35,7 @@ use cores::CoreStates;
 use satin_faults::{FaultInjector, FaultStats, SatinError};
 use satin_hw::{CoreId, Platform};
 use satin_kernel::syscall::SyscallTable;
-use satin_kernel::{Affinity, KernelConfig, SchedClass, Scheduler, TaskId};
+use satin_kernel::{tick, Affinity, SchedClass, Scheduler, TaskId};
 use satin_mem::{KernelLayout, PhysMemory, ScanWindow};
 use satin_secure::TestSecurePayload;
 use satin_sim::{SimDuration, SimObserver, SimRng, SimTime, Simulator, TraceLog};
@@ -119,12 +119,9 @@ pub struct System {
 }
 
 impl System {
-    // One call site (the builder); a params struct would just restate it.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         platform: Platform,
         layout: KernelLayout,
-        config: KernelConfig,
         image_seed: u64,
         rngs: [SimRng; 4],
         trace: TraceLog,
@@ -143,7 +140,7 @@ impl System {
                 .expect("syscall table inside memory");
             stats.record_genuine_syscall(nr, ptr);
         }
-        let cores = CoreStates::new(n, &config);
+        let cores = CoreStates::new(n);
         let [rng_sched, rng_timing, rng_secure, rng_body] = rngs;
         if telemetry.is_enabled() {
             for i in 0..n {
@@ -153,7 +150,7 @@ impl System {
         let mut sys = System {
             sim: Simulator::new(),
             platform,
-            sched: Scheduler::new(n, config),
+            sched: Scheduler::new(n),
             mem,
             layout,
             syscalls,
@@ -186,7 +183,7 @@ impl System {
         // Arm the periodic scheduler tick on every core.
         for i in 0..n {
             let core = CoreId::new(i);
-            let at = sys.cores.tick(core).next_boundary(SimTime::ZERO);
+            let at = tick::next_boundary(SimTime::ZERO);
             sys.sim.schedule_at(at, SysEvent::TickBoundary { core });
         }
         sys

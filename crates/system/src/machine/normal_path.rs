@@ -6,7 +6,7 @@ use super::System;
 use crate::body::{RunCtx, RunOutcome, Then};
 use crate::event::SysEvent;
 use satin_hw::CoreId;
-use satin_kernel::{SchedClass, TaskId, TaskState};
+use satin_kernel::{tick, SchedClass, TaskId, TaskState};
 use satin_sim::dist::SecondsDist;
 use satin_sim::{SimTime, TraceCategory};
 
@@ -14,7 +14,7 @@ impl System {
     pub(super) fn on_tick(&mut self, now: SimTime, core: CoreId) {
         // Always schedule the next boundary (the hardware timer keeps going;
         // NO_HZ merely suppresses delivery while idle).
-        let mut next = self.cores.tick(core).next_boundary(now);
+        let mut next = tick::next_boundary(now);
         // An injected jitter spike pushes one boundary late — the timing
         // anomaly a loaded or adversarial interrupt fabric produces.
         if let Some(extra) = self.faults.as_mut().and_then(|f| f.tick_jitter(now)) {
@@ -33,8 +33,7 @@ impl System {
             return;
         }
         let idle = self.cores.running(core).is_none() && self.sched.queue_len(core) == 0;
-        let delivered = self.cores.tick_mut(core).on_boundary(idle);
-        if !delivered {
+        if !tick::delivered(idle) {
             return;
         }
         self.stats.ticks_delivered += 1;
@@ -217,7 +216,6 @@ impl System {
             Then::SleepFor(_) | Then::SleepAligned { .. } | Then::SleepAlignedOffset { .. } => {
                 TaskState::Sleeping
             }
-            Then::Block => TaskState::Blocked,
             Then::Exit => TaskState::Exited,
         };
         self.sched.stop_running(core, task, ran, next_state);
@@ -240,7 +238,7 @@ impl System {
                 self.sim
                     .schedule_at(SimTime::from_nanos(next), SysEvent::TaskWake { task });
             }
-            Then::Yield | Then::Block | Then::Exit => {}
+            Then::Yield | Then::Exit => {}
         }
         self.try_dispatch(now, core);
     }

@@ -290,7 +290,7 @@ impl System {
         }
         let dropped = matches!(fate, PublicationFate::Drop);
         let residency = resume.since(session.fired);
-        self.tsp.record_invocation(core, session.fired, residency);
+        self.tsp.record_invocation(core, residency);
         self.cores.set_secure(core, None);
         {
             let m = self.stats.metrics.core_mut(core);

@@ -66,7 +66,7 @@ fn rt_preempts_cfs_mid_quantum() {
         Affinity::pinned(c),
         move |ctx: &mut RunCtx<'_>| {
             *rt_ran2.borrow_mut() = Some(ctx.now());
-            RunOutcome::block_after(SimDuration::from_micros(5))
+            RunOutcome::exit_after(SimDuration::from_micros(5))
         },
     );
     s.wake_at(hog, SimTime::ZERO);

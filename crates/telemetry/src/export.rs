@@ -1,14 +1,13 @@
-//! Timeline exporters: Chrome `trace_event` JSON and line-delimited JSONL.
+//! Timeline exporter: Chrome `trace_event` JSON.
 //!
 //! [`chrome_trace`] renders a [`Timeline`] (optionally merged with a
 //! [`TraceLog`]) in the Trace Event Format understood by `chrome://tracing`
 //! and [Perfetto](https://ui.perfetto.dev): spans become `ph:"X"` complete
 //! events (or `ph:"B"` if still open), instants become `ph:"i"`, and track
 //! names become `ph:"M"` thread-name metadata. Timestamps are microseconds
-//! with nanosecond precision (`ts` is fractional). [`jsonl_events`] renders
-//! the same records one JSON object per line for ad-hoc `jq` analysis.
+//! with nanosecond precision (`ts` is fractional).
 //!
-//! Both exporters emit records in deterministic order (metadata, then spans
+//! The exporter emits records in deterministic order (metadata, then spans
 //! by id, then instants, then trace-log entries), so the same simulation
 //! always produces byte-identical files.
 
@@ -148,41 +147,6 @@ pub fn chrome_trace(timeline: &Timeline, trace: Option<&TraceLog>) -> String {
     out
 }
 
-/// Renders a timeline as line-delimited JSON: one object per record, spans
-/// first (id order), then instants. Durations and timestamps are integer
-/// nanoseconds here — no unit conversion to second-guess.
-pub fn jsonl_events(timeline: &Timeline) -> String {
-    let mut out = String::new();
-    for span in timeline.spans() {
-        let _ = write!(
-            out,
-            r#"{{"kind":"span","id":{},"name":"{}","track":{},"start_ns":{}"#,
-            span.id.index(),
-            span.name,
-            span.track.0,
-            span.start.as_nanos()
-        );
-        if let Some(end) = span.end {
-            let _ = write!(out, r#","end_ns":{}"#, end.as_nanos());
-        }
-        if let Some(p) = span.parent {
-            let _ = write!(out, r#","parent":{}"#, p.index());
-        }
-        let _ = writeln!(out, r#","detail":"{}"}}"#, json_escape(&span.detail));
-    }
-    for inst in timeline.instants() {
-        let _ = writeln!(
-            out,
-            r#"{{"kind":"instant","name":"{}","track":{},"at_ns":{},"detail":"{}"}}"#,
-            inst.name,
-            inst.track.0,
-            inst.at.as_nanos(),
-            json_escape(&inst.detail)
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,21 +225,6 @@ mod tests {
         tl.start("hang", TrackId(2), SimTime::from_nanos(77), None, "");
         let json = chrome_trace(&tl, None);
         assert!(json.contains(r#""ph":"B","pid":0,"tid":2,"name":"hang","ts":0.077"#));
-    }
-
-    #[test]
-    fn jsonl_one_object_per_line() {
-        let tl = sample_timeline();
-        let jsonl = jsonl_events(&tl);
-        let lines: Vec<_> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3); // 2 spans + 1 instant
-        assert!(lines[0].contains(r#""kind":"span","id":0,"name":"secure.session"#));
-        assert!(lines[0].contains(r#""start_ns":1500,"end_ns":10250"#));
-        assert!(lines[1].contains(r#""parent":0"#));
-        assert!(lines[2].contains(r#""kind":"instant","name":"publish","track":0,"at_ns":10250"#));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   results, so parallel campaign runners aggregate identically for any
 //!   `--jobs` count;
 //! - `export` renders a timeline as Chrome `trace_event` JSON (loadable
-//!   in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)) or as a
-//!   line-delimited JSONL event stream.
+//!   in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)).
 //!
 //! Everything here is *pure observation*: recording consumes no randomness
 //! and schedules no events, so enabling telemetry can never change an
@@ -26,6 +25,6 @@ pub(crate) mod export;
 pub(crate) mod hist;
 pub(crate) mod span;
 
-pub use export::{chrome_trace, json_escape, jsonl_events};
+pub use export::{chrome_trace, json_escape};
 pub use hist::DurationHistogram;
 pub use span::{InstantRecord, SpanId, SpanRecord, Timeline, TrackId};

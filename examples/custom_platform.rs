@@ -8,8 +8,6 @@
 
 use satin::hash::{hash_bytes, AuthorizedHashTable, HashAlgorithm};
 use satin::hw::timing::ScanStrategy;
-use satin::hw::RoutingKind;
-use satin::hw::{CoreKind, Topology};
 use satin::prelude::*;
 use satin::system::{BootCtx, ScanRequest, SecureCtx, SecureService};
 use std::cell::RefCell;
@@ -70,13 +68,11 @@ impl SecureService for TableWatchdog {
 }
 
 fn main() {
-    // An octa-core all-A53 platform instead of the Juno.
-    let platform = Platform::new(
-        Topology::homogeneous(CoreKind::A53, 8),
-        satin::hw::TimingModel::paper_calibrated(),
-        RoutingKind::Satin,
-    );
-    let mut sys = SystemBuilder::new().seed(808).platform(platform).build();
+    // An octa-core all-A53 platform instead of the Juno: the paper scenario
+    // with another core list keeps the Juno's calibration and routing.
+    let mut scenario = Scenario::paper();
+    scenario.platform.cores = vec![CoreKind::A53; 8];
+    let mut sys = SystemBuilder::new().seed(808).scenario(&scenario).build();
     println!("custom platform: {} cores, all A53", sys.num_cores());
 
     let layout = sys.layout().clone();

@@ -57,7 +57,7 @@
 //! | [`kernel`] | `satin-kernel` | CFS + RT schedulers, ticks, syscall table |
 //! | [`secure`] | `satin-secure` | TSP, secure storage, boot measurement |
 //! | [`system`] | `satin-system` | The machine: event loop over both worlds |
-//! | [`telemetry`] | `satin-telemetry` | Spans, histograms, Chrome/JSONL exporters |
+//! | [`telemetry`] | `satin-telemetry` | Spans, histograms, Chrome trace exporter |
 //! | [`scenario`] | `satin-scenario` | Declarative platform/attack/defense profiles |
 //! | [`attack`] | `satin-attack` | TZ-Evader: probers, rootkit, race math |
 //! | [`core`] | `satin-core` | **SATIN** (the paper's contribution) |
