@@ -15,6 +15,13 @@ echo "== build (frozen benchmark) =="
 # gitignored perfbench/target.
 cargo build -q --offline --locked --release --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark tests (frozen benchmark) =="
+# The benchmark's own checks against the library: traced and untraced cells
+# agree, the traced Fig 7 run scores like `run_single`, and the printed
+# metrics match BENCHMARK.json. A library change that breaks one fails here
+# rather than in the benchmark run.
+cargo test -q --offline --locked --release --manifest-path perfbench/Cargo.toml
+
 echo "== tests =="
 cargo test -q --workspace
 

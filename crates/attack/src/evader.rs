@@ -6,7 +6,6 @@ use crate::prober::{ProberConfig, ProberShared};
 use crate::rootkit::{deploy_rootkit, RootkitConfig, RootkitHandle};
 use satin_hw::CoreId;
 use satin_scenario::{AttackProfile, ProberKind, Scenario};
-use satin_sim::SimTime;
 use satin_system::System;
 
 /// TZ-Evader deployment configuration.
@@ -59,20 +58,8 @@ impl TzEvader {
     pub fn deploy(sys: &mut System, config: TzEvaderConfig) -> TzEvader {
         let channel = EvaderChannel::new();
         let prober = ProberShared::with_channel(channel.clone());
-        deploy_prober(
-            sys,
-            config.prober,
-            config.prober_config,
-            &prober,
-            SimTime::ZERO,
-        );
-        let (_, rootkit) = deploy_rootkit(
-            sys,
-            config.recovery_core,
-            config.rootkit,
-            &channel,
-            SimTime::ZERO,
-        );
+        deploy_prober(sys, config.prober, config.prober_config, &prober);
+        let (_, rootkit) = deploy_rootkit(sys, config.recovery_core, config.rootkit, &channel);
         TzEvader {
             channel,
             prober,
@@ -88,7 +75,7 @@ mod tests {
     use satin_kernel::syscall::SyscallTable;
     use satin_mem::layout::GETTID_NR;
     use satin_mem::MemRange;
-    use satin_sim::SimDuration;
+    use satin_sim::{SimDuration, SimTime};
     use satin_system::{BootCtx, ScanRequest, SecureCtx, SecureService, SystemBuilder};
     use std::cell::RefCell;
     use std::rc::Rc;

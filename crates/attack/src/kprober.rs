@@ -24,12 +24,11 @@ pub fn deploy_prober(
     kind: ProberKind,
     config: ProberConfig,
     shared: &ProberShared,
-    start: SimTime,
 ) -> Vec<TaskId> {
     match kind {
-        ProberKind::UserLevel => deploy_user_prober(sys, config, shared, start),
-        ProberKind::KProberI => deploy_kprober_i(sys, config, shared, start),
-        ProberKind::KProberII => deploy_kprober_ii(sys, config, shared, start),
+        ProberKind::UserLevel => deploy_user_prober(sys, config, shared),
+        ProberKind::KProberI => deploy_kprober_i(sys, config, shared),
+        ProberKind::KProberII => deploy_kprober_ii(sys, config, shared),
     }
 }
 
@@ -38,9 +37,8 @@ pub(crate) fn deploy_user_prober(
     sys: &mut System,
     config: ProberConfig,
     shared: &ProberShared,
-    start: SimTime,
 ) -> Vec<TaskId> {
-    deploy_prober_threads(sys, SchedClass::cfs(), config, shared, start)
+    deploy_prober_threads(sys, SchedClass::cfs(), config, shared)
 }
 
 /// Deploys KProber-II (`SCHED_FIFO` priority 99 threads).
@@ -48,9 +46,8 @@ pub fn deploy_kprober_ii(
     sys: &mut System,
     config: ProberConfig,
     shared: &ProberShared,
-    start: SimTime,
 ) -> Vec<TaskId> {
-    deploy_prober_threads(sys, SchedClass::rt_max(), config, shared, start)
+    deploy_prober_threads(sys, SchedClass::rt_max(), config, shared)
 }
 
 /// The KProber-I tick hook: reporter + comparer in IRQ context.
@@ -94,7 +91,6 @@ pub fn deploy_kprober_i(
     sys: &mut System,
     mut config: ProberConfig,
     shared: &ProberShared,
-    start: SimTime,
 ) -> Vec<TaskId> {
     let n = sys.num_cores();
 
@@ -123,7 +119,7 @@ pub fn deploy_kprober_i(
             RunOutcome::exit_after(SimDuration::from_micros(10))
         },
     );
-    sys.wake_at(setup, start);
+    sys.wake_at(setup, SimTime::ZERO);
 
     sys.install_tick_hook(KProberIHook {
         shared: shared.clone(),
@@ -140,7 +136,7 @@ pub fn deploy_kprober_i(
             Affinity::pinned(CoreId::new(i)),
             |_: &mut RunCtx<'_>| RunOutcome::yield_after(SimDuration::from_millis(1)),
         );
-        sys.wake_at(t, start);
+        sys.wake_at(t, SimTime::ZERO);
         spinners.push(t);
     }
     spinners
@@ -157,7 +153,7 @@ mod tests {
         let mut sys = SystemBuilder::new().seed(3).trace(false).build();
         let shared = ProberShared::new();
         let cfg = ProberConfig::measurement(SimDuration::from_micros(200), ProbeTargets::AllCores);
-        deploy_kprober_i(&mut sys, cfg, &shared, SimTime::ZERO);
+        deploy_kprober_i(&mut sys, cfg, &shared);
         sys.run_until(SimTime::from_secs(1));
         // 6 cores × HZ=250 ≈ 1500 ticks/s; each publishes a report.
         let reports = sys.stats().time_reports;
@@ -182,7 +178,7 @@ mod tests {
             let shared = ProberShared::new();
             let cfg =
                 ProberConfig::measurement(SimDuration::from_micros(200), ProbeTargets::AllCores);
-            deploy_prober(&mut sys, variant, cfg, &shared, SimTime::ZERO);
+            deploy_prober(&mut sys, variant, cfg, &shared);
             sys.run_until(SimTime::from_millis(500));
             shared.observations()
         };
@@ -196,7 +192,7 @@ mod tests {
         let mut sys = SystemBuilder::new().seed(6).trace(false).build();
         let shared = ProberShared::new();
         let cfg = ProberConfig::measurement(SimDuration::from_micros(200), ProbeTargets::AllCores);
-        deploy_user_prober(&mut sys, cfg, &shared, SimTime::ZERO);
+        deploy_user_prober(&mut sys, cfg, &shared);
         sys.run_until(SimTime::from_millis(100));
         assert!(shared.observations() > 0);
         // No kernel writes: stealthy.

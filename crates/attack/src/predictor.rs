@@ -107,7 +107,6 @@ pub struct PredictiveEvader {
 pub fn deploy_predictive_evader(
     sys: &mut System,
     config: PredictorConfig,
-    start: SimTime,
 ) -> (PredictiveEvader, TaskId) {
     let channel = EvaderChannel::new();
     // Stay down for the whole predicted scan window: the rootkit's
@@ -116,7 +115,7 @@ pub fn deploy_predictive_evader(
         quiet_before_reinstall: config.reappear_after,
         ..RootkitConfig::default()
     };
-    let (_, rootkit) = deploy_rootkit(sys, CoreId::new(3), rk_cfg, &channel, start);
+    let (_, rootkit) = deploy_rootkit(sys, CoreId::new(3), rk_cfg, &channel);
     let body = PredictorBody {
         config,
         channel: channel.clone(),
@@ -128,7 +127,7 @@ pub fn deploy_predictive_evader(
         Affinity::pinned(CoreId::new(5)),
         body,
     );
-    sys.wake_at(t, start);
+    sys.wake_at(t, SimTime::ZERO);
     (PredictiveEvader { channel, rootkit }, t)
 }
 
@@ -151,7 +150,7 @@ mod tests {
         // Oracle: with randomize_wake=false the queue hands out exact
         // tp-spaced times from t=0.
         let predictor = PredictorConfig::oracle(SimDuration::from_millis(500), SimTime::ZERO);
-        let (_evader, _) = deploy_predictive_evader(&mut sys, predictor, SimTime::ZERO);
+        let (_evader, _) = deploy_predictive_evader(&mut sys, predictor);
         sys.run_until(SimTime::from_secs(25));
         let rounds = handle.rounds();
         let area = satin_mem::PAPER_SYSCALL_AREA;

@@ -203,7 +203,7 @@ impl ThreadBody for ReporterOnlyBody {
 }
 
 /// Deploys prober threads onto `sys` with the given scheduling class
-/// (RT = KProber-II, CFS = the user-level prober) and wakes them at `start`.
+/// (RT = KProber-II, CFS = the user-level prober) and wakes them at once.
 ///
 /// Returns the spawned task ids.
 pub fn deploy_prober_threads(
@@ -211,7 +211,6 @@ pub fn deploy_prober_threads(
     class: SchedClass,
     config: ProberConfig,
     shared: &ProberShared,
-    start: SimTime,
 ) -> Vec<TaskId> {
     let n = sys.num_cores();
     let mut tasks = Vec::new();
@@ -262,7 +261,7 @@ pub fn deploy_prober_threads(
         }
     }
     for &t in &tasks {
-        sys.wake_at(t, start);
+        sys.wake_at(t, SimTime::ZERO);
     }
     tasks
 }
@@ -277,13 +276,7 @@ pub(crate) fn measure_round(seed: u64, period: SimDuration, targets: ProbeTarget
         .build();
     let shared = ProberShared::new();
     let config = ProberConfig::measurement(ProberConfig::paper_kprober().sleep, targets);
-    deploy_prober_threads(
-        &mut sys,
-        SchedClass::rt_max(),
-        config,
-        &shared,
-        SimTime::ZERO,
-    );
+    deploy_prober_threads(&mut sys, SchedClass::rt_max(), config, &shared);
     // Warm up so every core has published at least once, then measure.
     let warmup = SimDuration::from_millis(5);
     sys.run_for(warmup);
@@ -429,7 +422,6 @@ mod tests {
             SchedClass::rt_max(),
             ProberConfig::paper_kprober(),
             &shared,
-            SimTime::ZERO,
         );
         sys.install_secure_service(OneScan);
         sys.run_until(SimTime::from_millis(60));

@@ -274,7 +274,7 @@ impl ThreadBody for RootkitBody {
 
 /// Deploys the rootkit onto `sys`: the leader thread on `core` plus (with
 /// [`RootkitConfig::multi_core_recovery`]) a helper on every other core, all
-/// waking at `start`.
+/// waking at once.
 ///
 /// Uses RT priority 98 — right below the probers — so recovery starts within
 /// one poll period of the hide signal regardless of CFS load.
@@ -283,7 +283,6 @@ pub fn deploy_rootkit(
     core: CoreId,
     config: RootkitConfig,
     channel: &EvaderChannel,
-    start: SimTime,
 ) -> (TaskId, RootkitHandle) {
     let handle = RootkitHandle::default();
     let leader = RootkitBody::new(config, channel.clone(), handle.clone(), RootkitRole::Leader);
@@ -293,7 +292,7 @@ pub fn deploy_rootkit(
         Affinity::pinned(core),
         leader,
     );
-    sys.wake_at(t, start);
+    sys.wake_at(t, SimTime::ZERO);
     if config.multi_core_recovery {
         for i in 0..sys.num_cores() {
             let c = CoreId::new(i);
@@ -308,7 +307,7 @@ pub fn deploy_rootkit(
                 Affinity::pinned(c),
                 helper,
             );
-            sys.wake_at(h, start);
+            sys.wake_at(h, SimTime::ZERO);
         }
     }
     (t, handle)
@@ -328,13 +327,7 @@ mod tests {
     fn installs_on_first_run() {
         let mut s = sys();
         let ch = EvaderChannel::new();
-        let (_, handle) = deploy_rootkit(
-            &mut s,
-            CoreId::new(3),
-            RootkitConfig::default(),
-            &ch,
-            SimTime::from_millis(1),
-        );
+        let (_, handle) = deploy_rootkit(&mut s, CoreId::new(3), RootkitConfig::default(), &ch);
         s.run_until(SimTime::from_millis(2));
         assert_eq!(handle.inner.borrow().installs, 1);
         assert!(handle.is_active());
@@ -353,7 +346,7 @@ mod tests {
             multi_core_recovery: false,
             ..RootkitConfig::default()
         };
-        let (_, handle) = deploy_rootkit(&mut s, CoreId::new(3), cfg, &ch, SimTime::ZERO);
+        let (_, handle) = deploy_rootkit(&mut s, CoreId::new(3), cfg, &ch);
         s.run_until(SimTime::from_millis(5));
         assert!(handle.is_active());
         // The prober "detects" an introspection at t=5ms.
@@ -381,13 +374,7 @@ mod tests {
     fn reinstalls_after_quiet_period() {
         let mut s = sys();
         let ch = EvaderChannel::new();
-        let (_, handle) = deploy_rootkit(
-            &mut s,
-            CoreId::new(2),
-            RootkitConfig::default(),
-            &ch,
-            SimTime::ZERO,
-        );
+        let (_, handle) = deploy_rootkit(&mut s, CoreId::new(2), RootkitConfig::default(), &ch);
         s.run_until(SimTime::from_millis(2));
         ch.report_detection(s.now(), CoreId::new(0), SimDuration::from_millis(2));
         // Recovery (~5-6ms) + quiet period (20ms) + margin.
@@ -402,13 +389,7 @@ mod tests {
     fn active_time_accumulates() {
         let mut s = sys();
         let ch = EvaderChannel::new();
-        let (_, handle) = deploy_rootkit(
-            &mut s,
-            CoreId::new(3),
-            RootkitConfig::default(),
-            &ch,
-            SimTime::ZERO,
-        );
+        let (_, handle) = deploy_rootkit(&mut s, CoreId::new(3), RootkitConfig::default(), &ch);
         s.run_until(SimTime::from_millis(10));
         let t1 = handle.active_time(s.now());
         assert!(t1 > SimDuration::from_millis(9));

@@ -802,7 +802,7 @@ fn run_predictor(o: &Opts) {
         let (satin, handle) = Satin::new(cfg);
         sys.install_secure_service(satin);
         let predictor = PredictorConfig::oracle(SimDuration::from_millis(500), SimTime::ZERO);
-        let _ = deploy_predictive_evader(&mut sys, predictor, SimTime::ZERO);
+        let _ = deploy_predictive_evader(&mut sys, predictor);
         sys.run_until(SimTime::from_secs(horizon));
         let rounds = handle.rounds();
         let area = satin_mem::PAPER_SYSCALL_AREA;

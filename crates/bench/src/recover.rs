@@ -47,7 +47,7 @@ pub fn measure(scenario: &Scenario, kind: CoreKind, rounds: usize, seed: u64) ->
         // Pin recovery to the measured core so the sample is per-kind.
         multi_core_recovery: false,
     };
-    let (_, handle) = deploy_rootkit(&mut sys, core, config, &channel, SimTime::ZERO);
+    let (_, handle) = deploy_rootkit(&mut sys, core, config, &channel);
     let mut samples = Vec::with_capacity(rounds);
     let mut t = SimTime::from_millis(2);
     for _ in 0..rounds {

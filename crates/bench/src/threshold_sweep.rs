@@ -43,7 +43,7 @@ pub(crate) fn measure(threshold_secs: f64, seed: u64) -> ThresholdPoint {
         let shared = ProberShared::with_channel(channel.clone());
         let mut cfg = ProberConfig::paper_kprober();
         cfg.threshold = Some(SimDuration::from_secs_f64(threshold_secs));
-        deploy_prober_threads(&mut sys, SchedClass::rt_max(), cfg, &shared, SimTime::ZERO);
+        deploy_prober_threads(&mut sys, SchedClass::rt_max(), cfg, &shared);
         sys.run_until(SimTime::from_secs(quiet_secs));
         channel
             .distinct_sessions(SimDuration::from_millis(100))

@@ -106,7 +106,7 @@ pub fn measure(config: UserProberConfig) -> UserProberResult {
     let channel = EvaderChannel::new();
     let shared = ProberShared::with_channel(channel.clone());
     let cfg = ProberConfig::paper_kprober();
-    deploy_prober(&mut sys, config.variant, cfg, &shared, SimTime::ZERO);
+    deploy_prober(&mut sys, config.variant, cfg, &shared);
 
     // The introspection: full-kernel scans every 300 ms on a fixed A53 core
     // (the paper's "typical TrustZone-based kernel integrity checking").

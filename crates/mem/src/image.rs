@@ -108,14 +108,19 @@ fn fill_syscall_table(layout: &KernelLayout, seed: u64, chunk: &mut [u8]) {
 }
 
 fn fill_noise(seed: u64, chunk: &mut [u8]) {
-    // SplitMix64 stream, 8 bytes at a time: fast and fully deterministic.
+    // SplitMix64 stream, one little-endian word per 8 bytes: fast and fully
+    // deterministic. A short tail takes the leading bytes of the next word.
     let mut state = seed;
-    for block in chunk.chunks_mut(8) {
+    let mut next_word = || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let v = mix(state, 0);
-        for (b, s) in block.iter_mut().zip(v.to_le_bytes()) {
-            *b = s;
-        }
+        mix(state, 0).to_le_bytes()
+    };
+    let mut words = chunk.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&next_word());
+    }
+    for (b, s) in words.into_remainder().iter_mut().zip(next_word()) {
+        *b = s;
     }
 }
 
@@ -193,6 +198,27 @@ mod tests {
         let text = l.section(".text").unwrap().range();
         let ptr = u64::from_le_bytes(hijacked);
         assert!(text.contains(crate::PhysAddr::new(ptr)));
+    }
+
+    /// The word-wide fill writes exactly the bytes of the byte-at-a-time
+    /// SplitMix64 loop it replaced, tails included.
+    #[test]
+    fn noise_matches_bytewise_reference() {
+        fn reference(seed: u64, chunk: &mut [u8]) {
+            let mut state = seed;
+            for block in chunk.chunks_mut(8) {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                for (b, s) in block.iter_mut().zip(mix(state, 0).to_le_bytes()) {
+                    *b = s;
+                }
+            }
+        }
+        for len in [0, 1, 7, 8, 9, 63, 64, 4099] {
+            let (mut got, mut want) = (vec![0xa5; len], vec![0x5a; len]);
+            fill_noise(42, &mut got);
+            reference(42, &mut want);
+            assert_eq!(got, want, "len {len}");
+        }
     }
 
     #[test]

@@ -125,11 +125,19 @@ impl<E> Simulator<E> {
         self.queue.push(at, event);
     }
 
-    /// Pops the next event, advancing the clock to its timestamp.
+    /// Pops the next event only if it fires at or before `deadline`,
+    /// advancing the clock to its timestamp.
     ///
-    /// Returns `None` when no events are pending.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (t, seq, ev) = self.queue.pop_entry()?;
+    /// The clock never advances past `deadline`: if the next event is later
+    /// (or the queue is empty), the clock is set to `deadline` and `None` is
+    /// returned. This is how experiments run "for 8 simulated seconds".
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let Some((t, seq, ev)) = self.queue.pop_entry_until(deadline) else {
+            if deadline > self.now {
+                self.now = deadline;
+            }
+            return None;
+        };
         debug_assert!(t >= self.now, "event queue returned a past event");
         self.now = t;
         self.dispatched += 1;
@@ -138,23 +146,6 @@ impl<E> Simulator<E> {
         }
         Some((t, ev))
     }
-
-    /// Pops the next event only if it fires at or before `deadline`.
-    ///
-    /// The clock never advances past `deadline`: if the next event is later
-    /// (or the queue is empty), the clock is set to `deadline` and `None` is
-    /// returned. This is how experiments run "for 8 simulated seconds".
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.queue.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,17 +153,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Pops the next event with no deadline.
+    fn pop_next<E>(sim: &mut Simulator<E>) -> Option<(SimTime, E)> {
+        sim.pop_until(SimTime::MAX)
+    }
+
     #[test]
     fn clock_advances_with_pop() {
         let mut sim: Simulator<u32> = Simulator::new();
         sim.schedule_at(SimTime::from_nanos(50), 1);
         sim.schedule_at(SimTime::from_nanos(20), 2);
         assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(sim.pop(), Some((SimTime::from_nanos(20), 2)));
+        assert_eq!(pop_next(&mut sim), Some((SimTime::from_nanos(20), 2)));
         assert_eq!(sim.now(), SimTime::from_nanos(20));
-        assert_eq!(sim.pop(), Some((SimTime::from_nanos(50), 1)));
+        assert_eq!(pop_next(&mut sim), Some((SimTime::from_nanos(50), 1)));
         assert_eq!(sim.now(), SimTime::from_nanos(50));
-        assert_eq!(sim.pop(), None);
+        assert_eq!(pop_next(&mut sim), None);
     }
 
     #[test]
@@ -180,7 +176,7 @@ mod tests {
     fn schedule_in_past_rejected() {
         let mut sim: Simulator<u32> = Simulator::new();
         sim.schedule_at(SimTime::from_nanos(100), 1);
-        sim.pop();
+        pop_next(&mut sim);
         // Scheduling at exactly `now` is fine.
         sim.schedule_at(SimTime::from_nanos(100), 3);
         assert_eq!(sim.queue.len(), 1);
@@ -212,7 +208,7 @@ mod tests {
         for i in 0..10 {
             sim.schedule_at(SimTime::from_nanos(i), i as u32);
         }
-        let seen: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, ev)| ev)).collect();
+        let seen: Vec<u32> = std::iter::from_fn(|| pop_next(&mut sim).map(|(_, ev)| ev)).collect();
         assert_eq!(seen, (0..10).collect::<Vec<u32>>());
         assert_eq!(sim.dispatched(), 10);
         assert_eq!(sim.queue.len(), 0);
@@ -252,7 +248,7 @@ mod tests {
             for (i, t) in times.iter().enumerate() {
                 sim.schedule_at(SimTime::from_nanos(*t), i);
             }
-            while sim.pop().is_some() {}
+            while pop_next(&mut sim).is_some() {}
 
             let disp = dispatched.borrow();
             prop_assert_eq!(disp.len(), times.len());
@@ -276,7 +272,7 @@ mod tests {
                 sim.schedule_at(SimTime::from_nanos(*t), i);
             }
             let mut last = SimTime::ZERO;
-            while let Some((t, _)) = sim.pop() {
+            while let Some((t, _)) = pop_next(&mut sim) {
                 assert!(t >= last);
                 assert_eq!(sim.now(), t);
                 last = t;

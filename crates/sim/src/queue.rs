@@ -72,13 +72,25 @@ pub(crate) struct EventQueue<E> {
     /// entries for `slot`; within the window the map is injective, so a
     /// bucket never mixes slots. Unsorted until drained.
     buckets: Vec<Vec<Entry<E>>>,
-    /// Entries currently in `buckets`.
-    wheel_len: usize,
+    /// Occupancy bitmap over `buckets`: bit `i` of the 256-bit word array is
+    /// set exactly when bucket `i` is non-empty, so the next occupied slot
+    /// is a `trailing_zeros` away however sparse the wheel is.
+    occupied: [u64; OCCUPANCY_WORDS],
     /// Far-future entries (`slot >= near_slot + NUM_BUCKETS`), sorted
     /// descending; pulled into the wheel as the window advances.
     overflow: Vec<Entry<E>>,
     len: usize,
     next_seq: u64,
+}
+
+/// 64-bit words in the occupancy bitmap: one bit per wheel bucket.
+const OCCUPANCY_WORDS: usize = (NUM_BUCKETS / 64) as usize;
+
+/// The wheel bucket that holds `slot` while it is inside the window.
+#[inline]
+fn bucket_of(slot: u64) -> usize {
+    // Masked to NUM_BUCKETS - 1, so the cast is lossless.
+    (slot & (NUM_BUCKETS - 1)) as usize
 }
 
 impl<E> EventQueue<E> {
@@ -88,7 +100,7 @@ impl<E> EventQueue<E> {
             near: Vec::new(),
             near_slot: 0,
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            wheel_len: 0,
+            occupied: [0; OCCUPANCY_WORDS],
             overflow: Vec::new(),
             len: 0,
             next_seq: 0,
@@ -116,77 +128,104 @@ impl<E> EventQueue<E> {
         if slot < self.near_slot {
             insert_desc(&mut self.near, entry);
         } else if slot - self.near_slot < NUM_BUCKETS {
-            // Masked to NUM_BUCKETS - 1, so the cast is lossless.
-            let idx = (slot & (NUM_BUCKETS - 1)) as usize;
+            let idx = bucket_of(slot);
             self.buckets
                 .get_mut(idx)
                 .expect("bucket index is masked to wheel size")
                 .push(entry);
-            self.wheel_len += 1;
+            *self
+                .occupied
+                .get_mut(idx / 64)
+                .expect("bitmap has a bit per bucket") |= 1 << (idx % 64);
         } else {
             insert_desc(&mut self.overflow, entry);
         }
     }
 
+    /// The first occupied bucket at or after `near_slot`'s bucket in ring
+    /// order, as an offset from `near_slot` in slots; `None` if the wheel is
+    /// empty. Walks at most five bitmap words: the start word's upper bits,
+    /// the other three words, then the start word's lower bits (the ring
+    /// wrapped past the window's last slot).
+    fn next_occupied_offset(&self) -> Option<u64> {
+        let start = self.near_slot & (NUM_BUCKETS - 1);
+        let first = bucket_of(self.near_slot) / 64;
+        (0..=OCCUPANCY_WORDS).find_map(|k| {
+            let w = (first + k) % OCCUPANCY_WORDS;
+            let mut bits = *self.occupied.get(w)?;
+            if k == 0 {
+                bits &= u64::MAX << (start % 64);
+            }
+            let idx = w as u64 * 64 + u64::from(bits.trailing_zeros());
+            (bits != 0).then_some(idx.wrapping_sub(start) & (NUM_BUCKETS - 1))
+        })
+    }
+
     /// Refills `near` from the wheel (and the wheel from overflow) until the
-    /// earliest pending entry sits at the back of `near`. Caller guarantees
-    /// the queue is non-empty.
+    /// earliest pending entry sits at the back of `near`, or the queue is
+    /// empty.
     fn advance(&mut self) {
         while self.near.is_empty() {
             // Pull every overflow entry that now fits the window *before*
-            // scanning: the window may have moved far enough that an
+            // searching: the window may have moved far enough that an
             // overflow entry is earlier than anything already in the wheel.
             while let Some(e) = self.overflow.last() {
-                if slot_of(e.time) - self.near_slot < NUM_BUCKETS {
-                    let entry = self.overflow.pop().expect("just peeked");
-                    self.route(entry);
-                } else {
+                if slot_of(e.time) - self.near_slot >= NUM_BUCKETS {
                     break;
                 }
+                if let Some(entry) = self.overflow.pop() {
+                    self.route(entry);
+                }
             }
-            if self.wheel_len == 0 {
+            let Some(off) = self.next_occupied_offset() else {
                 // Nothing within a window of the base: jump straight to the
                 // earliest far-future slot and pull again.
-                let earliest = self.overflow.last().expect("queue is non-empty");
+                let Some(earliest) = self.overflow.last() else {
+                    return;
+                };
                 self.near_slot = slot_of(earliest.time);
                 continue;
-            }
-            // Scan the window for the first non-empty bucket and promote it.
-            for off in 0..NUM_BUCKETS {
-                let slot = self.near_slot + off;
-                // Masked to NUM_BUCKETS - 1, so the cast is lossless.
-                let idx = (slot & (NUM_BUCKETS - 1)) as usize;
-                let bucket = self
-                    .buckets
-                    .get_mut(idx)
-                    .expect("bucket index is masked to wheel size");
-                if bucket.is_empty() {
-                    continue;
-                }
-                self.wheel_len -= bucket.len();
-                // Sort descending so the earliest (smallest key) is last;
-                // `sort_unstable` is fine because `(time, seq)` keys are
-                // unique — FIFO order is already encoded in `seq`.
-                bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                // `append` leaves the bucket's capacity in place for reuse.
-                self.near.append(bucket);
-                self.near_slot = slot + 1;
-                break;
-            }
+            };
+            // Promote the first non-empty bucket.
+            let slot = self.near_slot + off;
+            let idx = bucket_of(slot);
+            *self
+                .occupied
+                .get_mut(idx / 64)
+                .expect("bitmap has a bit per bucket") &= !(1 << (idx % 64));
+            let bucket = self
+                .buckets
+                .get_mut(idx)
+                .expect("bucket index is masked to wheel size");
+            // Sort descending so the earliest (smallest key) is last;
+            // `sort_unstable` is fine because `(time, seq)` keys are
+            // unique — FIFO order is already encoded in `seq`.
+            bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+            // `append` leaves the bucket's capacity in place for reuse.
+            self.near.append(bucket);
+            self.near_slot = slot + 1;
         }
     }
 
     /// Removes and returns the earliest event with its sequence number (the
-    /// FIFO tie-breaker assigned at push time), or `None` if empty.
+    /// FIFO tie-breaker assigned at push time) if it fires at or before
+    /// `deadline`; `None` if the queue is empty or the earliest is later.
+    /// One search serves both the deadline check and the pop.
     #[must_use = "popping discards the event if the result is unused"]
-    pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.len == 0 {
+    pub(crate) fn pop_entry_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
+        self.advance();
+        if self.near.last()?.time > deadline {
             return None;
         }
-        self.advance();
-        let e = self.near.pop().expect("advance leaves near non-empty");
+        let e = self.near.pop()?;
         self.len -= 1;
         Some((e.time, e.seq, e.payload))
+    }
+
+    /// Removes and returns the earliest event with its sequence number.
+    #[cfg(test)]
+    pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
+        self.pop_entry_until(SimTime::MAX)
     }
 
     /// The sequence number the *next* pushed event will receive.
@@ -199,11 +238,8 @@ impl<E> EventQueue<E> {
     /// Takes `&mut self` because answering may promote a wheel bucket into
     /// the sorted near run (the earliest entry's position isn't known until
     /// its slot is sorted).
-    #[must_use]
+    #[cfg(test)]
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
         self.advance();
         self.near.last().map(|e| e.time)
     }
@@ -227,7 +263,10 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("len", &self.len)
             .field("next_seq", &self.next_seq)
             .field("near_slot", &self.near_slot)
-            .field("wheel_len", &self.wheel_len)
+            .field(
+                "occupied_buckets",
+                &self.occupied.iter().map(|w| w.count_ones()).sum::<u32>(),
+            )
             .field("overflow_len", &self.overflow.len())
             .finish()
     }
@@ -261,6 +300,13 @@ mod tests {
 
         fn peek_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|Reverse((t, _, _))| *t)
+        }
+
+        fn pop_entry_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, usize)> {
+            match self.peek_time() {
+                Some(t) if t <= deadline => self.pop_entry(),
+                _ => None,
+            }
         }
     }
 
@@ -352,7 +398,7 @@ mod tests {
         // only after the base advances must still pop before a later-pushed,
         // later-timed wheel entry.
         let mut q = EventQueue::new();
-        let window = 1u64 << BUCKET_SHIFT << 8; // NUM_BUCKETS slots in ns
+        let window = WINDOW_NS;
         q.push(SimTime::from_nanos(window + 100), 'b'); // overflow at push
         q.push(SimTime::from_nanos(10), 'a');
         assert_eq!(pop(&mut q), Some((SimTime::from_nanos(10), 'a')));
@@ -362,12 +408,22 @@ mod tests {
         assert_eq!(pop(&mut q), Some((SimTime::from_nanos(window + 200), 'c')));
     }
 
-    /// One step of an interleaved push/pop program (satellite: wheel vs.
-    /// reference model).
+    /// One wheel window in nanoseconds: `NUM_BUCKETS` slots.
+    const WINDOW_NS: u64 = NUM_BUCKETS << BUCKET_SHIFT;
+
+    /// One step of an interleaved push/pop program (wheel vs. reference
+    /// model).
     #[derive(Debug, Clone)]
     enum Op {
+        /// Push at an absolute time.
         Push(u64),
+        /// Push `d` ns after the last popped time: up to two windows out, so
+        /// the ring wraps and sparse entries sit many empty buckets apart.
+        PushAfter(u64),
         Pop,
+        /// Pop only if due within `d` ns of the last popped time.
+        PopUntil(u64),
+        Peek,
         Drain,
     }
 
@@ -376,13 +432,16 @@ mod tests {
     impl Strategy for OpStrategy {
         type Value = Op;
         fn sample(&self, rng: &mut proptest::TestRng) -> Op {
-            match rng.below(10) {
+            match rng.below(20) {
                 // Near-term: lands in the current slot or the wheel window.
-                0..=3 => Op::Push(rng.below(2_000_000)),
+                0..=4 => Op::Push(rng.below(2_000_000)),
                 // Far-future: guaranteed past the wheel window (> ~1.05 ms),
                 // up to seconds out — exercises the overflow level.
-                4..=5 => Op::Push(2_000_000 + rng.below(10_000_000_000)),
-                6..=8 => Op::Pop,
+                5..=6 => Op::Push(2_000_000 + rng.below(10_000_000_000)),
+                7..=10 => Op::PushAfter(rng.below(2 * WINDOW_NS)),
+                11..=14 => Op::Pop,
+                15..=17 => Op::PopUntil(rng.below(2 * WINDOW_NS)),
+                18 => Op::Peek,
                 // Rare: exercises reuse of a drained queue mid-program.
                 _ => Op::Drain,
             }
@@ -411,34 +470,52 @@ mod tests {
         }
 
         /// The timing wheel is observationally identical to the reference
-        /// heap: same `(time, seq, payload)` at every pop, same `len` and
-        /// `next_seq` after every step, for arbitrary interleaved programs
-        /// including far-future overflow and reuse after a full drain.
+        /// heap: same `(time, seq, payload)` at every pop, deadline pop and
+        /// peek, same `len` and `next_seq` after every step, for arbitrary
+        /// interleaved programs including sparse entries across a wrapping
+        /// ring, far-future overflow and reuse after a full drain.
         #[test]
         fn prop_wheel_matches_reference_model(
             ops in proptest::collection::vec(OpStrategy, 0..400)
         ) {
             let mut wheel = EventQueue::new();
             let mut model = BaselineHeapQueue::default();
+            // Time of the last popped entry: the base of relative ops.
+            let mut last = 0u64;
             for (step, op) in ops.iter().enumerate() {
                 match op {
                     Op::Push(t) => {
                         wheel.push(SimTime::from_nanos(*t), step);
                         model.push(SimTime::from_nanos(*t), step);
                     }
+                    Op::PushAfter(d) => {
+                        wheel.push(SimTime::from_nanos(last + d), step);
+                        model.push(SimTime::from_nanos(last + d), step);
+                    }
                     Op::Pop => {
-                        prop_assert_eq!(wheel.pop_entry(), model.pop_entry());
+                        let m = model.pop_entry();
+                        prop_assert_eq!(wheel.pop_entry(), m);
+                        last = m.map_or(last, |(t, _, _)| t.as_nanos());
+                    }
+                    Op::PopUntil(d) => {
+                        let deadline = SimTime::from_nanos(last + d);
+                        let m = model.pop_entry_until(deadline);
+                        prop_assert_eq!(wheel.pop_entry_until(deadline), m);
+                        last = m.map_or(last, |(t, _, _)| t.as_nanos());
+                    }
+                    Op::Peek => {
+                        prop_assert_eq!(wheel.peek_time(), model.peek_time());
                     }
                     Op::Drain => {
                         while let Some(w) = wheel.pop_entry() {
                             prop_assert_eq!(Some(w), model.pop_entry());
+                            last = w.0.as_nanos();
                         }
                         prop_assert_eq!(model.pop_entry(), None);
                     }
                 }
                 prop_assert_eq!(wheel.len(), model.heap.len());
                 prop_assert_eq!(wheel.next_seq(), model.next_seq);
-                prop_assert_eq!(wheel.peek_time(), model.peek_time());
             }
             // Drain: the tails must match exactly too.
             loop {

@@ -147,12 +147,18 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "SimDuration::from_secs_f64: invalid seconds value {secs}"
         );
-        let nanos = (secs * 1e9).ceil();
+        let nanos = secs * 1e9;
         assert!(
             nanos <= u64::MAX as f64,
             "SimDuration::from_secs_f64: {secs}s overflows"
         );
-        SimDuration(nanos as u64)
+        // The ceiling in integers (`f64::ceil` is a library call on the
+        // x86-64 baseline). Below 2^53 the truncation and its round trip are
+        // exact, so `t + 1` is taken exactly when `nanos` has a fraction; at
+        // and above 2^53 every f64 is whole and `t` is already the ceiling
+        // (2^64 saturates to `u64::MAX`).
+        let t = nanos as u64;
+        SimDuration(if (t as f64) < nanos { t + 1 } else { t })
     }
 
     /// Nanoseconds in this duration.
@@ -283,6 +289,41 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(6.67e-9).as_nanos(), 7);
         assert_eq!(SimDuration::from_secs_f64(0.0).as_nanos(), 0);
         assert_eq!(SimDuration::from_secs_f64(1e-9).as_nanos(), 1);
+    }
+
+    /// Seconds values that stress the integer ceiling: arbitrary bit
+    /// patterns, ordinary ranges, whole nanoseconds, the 2^53 boundary where
+    /// f64 stops having fractions, and the top of the valid range.
+    struct SecsStrategy;
+
+    impl proptest::Strategy for SecsStrategy {
+        type Value = f64;
+        fn sample(&self, rng: &mut proptest::TestRng) -> f64 {
+            const TOP: f64 = u64::MAX as f64 / 1e9;
+            let two53 = (1u64 << 53) as f64;
+            match rng.below(7) {
+                0 => f64::from_bits(rng.next_u64()).abs(),
+                1 => rng.uniform_f64() * 1e-3,
+                2 => rng.uniform_f64() * 100.0,
+                3 => rng.below(1 << 60) as f64 / 1e9,
+                4 => (two53 + (rng.below(64) as f64 - 32.0)) / 1e9,
+                5 => TOP * (1.0 - rng.uniform_f64() * 1e-12),
+                _ => f64::from_bits(TOP.to_bits() - rng.below(8)),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The integer ceiling equals the `f64::ceil` reference for every
+        /// input the asserts accept.
+        #[test]
+        fn prop_from_secs_f64_matches_float_ceil(secs in SecsStrategy) {
+            let nanos = secs * 1e9;
+            if secs.is_finite() && nanos <= u64::MAX as f64 {
+                let reference = nanos.ceil() as u64;
+                proptest::prop_assert_eq!(SimDuration::from_secs_f64(secs).as_nanos(), reference);
+            }
+        }
     }
 
     #[test]

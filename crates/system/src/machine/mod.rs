@@ -133,12 +133,13 @@ impl System {
         let syscalls = SyscallTable::new(&layout);
         let mut stats = SysStats::new();
         stats.metrics = SysMetrics::new(n);
-        // Record every genuine syscall pointer at boot for hijack accounting.
+        // Record every genuine syscall pointer at boot, in syscall-number
+        // order, for hijack accounting.
         for nr in 0..syscalls.entries() {
             let ptr = mem
                 .read_u64(syscalls.entry_addr(nr))
                 .expect("syscall table inside memory");
-            stats.record_genuine_syscall(nr, ptr);
+            stats.push_genuine_syscall(ptr);
         }
         let cores = CoreStates::new(n);
         let [rng_sched, rng_timing, rng_secure, rng_body] = rngs;

@@ -2,7 +2,6 @@
 
 use crate::metrics::SysMetrics;
 use satin_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Global counters maintained by the event loop.
 #[derive(Debug, Clone, Default)]
@@ -30,8 +29,9 @@ pub struct SysStats {
     pub alarms: u64,
     /// Per-core, per-subsystem breakdown (see [`SysMetrics`]).
     pub metrics: SysMetrics,
-    /// Genuine syscall pointers recorded at boot, for hijack detection.
-    genuine_syscalls: BTreeMap<u64, u64>,
+    /// Genuine syscall pointers recorded at boot, for hijack detection,
+    /// indexed by syscall number (the table is dense from 0).
+    genuine_syscalls: Vec<u64>,
 }
 
 impl SysStats {
@@ -40,14 +40,16 @@ impl SysStats {
         Self::default()
     }
 
-    /// Records the boot-time (genuine) pointer of syscall `nr`.
-    pub(crate) fn record_genuine_syscall(&mut self, nr: u64, ptr: u64) {
-        self.genuine_syscalls.insert(nr, ptr);
+    /// Records the boot-time (genuine) pointer of the next syscall number:
+    /// boot records the table in order, from syscall 0.
+    pub(crate) fn push_genuine_syscall(&mut self, ptr: u64) {
+        self.genuine_syscalls.push(ptr);
     }
 
     /// The genuine pointer of syscall `nr`, if recorded.
     pub fn genuine_syscall(&self, nr: u64) -> Option<u64> {
-        self.genuine_syscalls.get(&nr).copied()
+        let nr = usize::try_from(nr).ok()?;
+        self.genuine_syscalls.get(nr).copied()
     }
 }
 
@@ -110,9 +112,13 @@ mod tests {
     #[test]
     fn genuine_syscall_round_trip() {
         let mut s = SysStats::new();
-        s.record_genuine_syscall(178, 0xdead);
-        assert_eq!(s.genuine_syscall(178), Some(0xdead));
-        assert_eq!(s.genuine_syscall(1), None);
+        for nr in 0..=178 {
+            s.push_genuine_syscall(0xdead_0000 + nr);
+        }
+        assert_eq!(s.genuine_syscall(0), Some(0xdead_0000));
+        assert_eq!(s.genuine_syscall(178), Some(0xdead_00b2));
+        assert_eq!(s.genuine_syscall(179), None);
+        assert_eq!(s.genuine_syscall(u64::MAX), None);
     }
 
     #[test]

@@ -63,10 +63,10 @@ fn kprober_trace_asymmetry() {
         let cfg = ProberConfig::measurement(SimDuration::from_micros(200), ProbeTargets::AllCores);
         match which {
             1 => {
-                deploy_kprober_i(&mut sys, cfg, &shared, SimTime::ZERO);
+                deploy_kprober_i(&mut sys, cfg, &shared);
             }
             _ => {
-                deploy_kprober_ii(&mut sys, cfg, &shared, SimTime::ZERO);
+                deploy_kprober_ii(&mut sys, cfg, &shared);
             }
         }
         sys.run_until(SimTime::from_millis(300));
